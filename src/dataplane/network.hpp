@@ -63,27 +63,15 @@ class Network {
     for (Switch& s : switches_) s.pipeline().set_epoch(e);
   }
 
-  /// Multiplies every entry switch's default sampling interval by
-  /// `factor` (the server's overload back-off signal, §4.5: a longer
-  /// T_s means fewer marked packets and fewer reports). An interval of
-  /// zero (sample everything) becomes `floor_interval` first so the
-  /// back-off has an effect.
-  void scale_sampling(double factor, double floor_interval = 1.0) {
-    for (Switch& s : switches_) {
-      FlowSampler& smp = s.pipeline().sampler();
-      const double cur = smp.default_interval();
-      smp.set_default_interval((cur > 0.0 ? cur : floor_interval) * factor);
-    }
-  }
-
   /// Commands every switch's sampling interval to `factor` times its
-  /// BASE interval — the absolute form of the back-off used by the
-  /// closed-loop controller (control_loop.hpp): unlike scale_sampling,
-  /// repeated calls do not compound, so a controller re-asserting
-  /// factor 4.0 each tick holds the interval steady and commanding 1.0
-  /// restores the original rate. Base intervals are captured from the
-  /// switches on the first call (a zero "sample everything" interval is
-  /// captured as `floor_interval` so the command has an effect).
+  /// BASE interval — the server's overload back-off, driven by the
+  /// closed-loop controller (control_loop.hpp; §4.5: a longer T_s means
+  /// fewer marked packets and fewer reports). Repeated calls do not
+  /// compound, so a controller re-asserting factor 4.0 each tick holds
+  /// the interval steady and commanding 1.0 restores the original rate.
+  /// Base intervals are captured from the switches on the first call (a
+  /// zero "sample everything" interval is captured as `floor_interval`
+  /// so the command has an effect).
   void command_sampling(double factor, double floor_interval = 1.0) {
     if (base_intervals_.empty()) {
       base_intervals_.reserve(switches_.size());

@@ -41,9 +41,10 @@ class FlowSampler {
   }
 
   /// The default T_s applied to flows without an explicit interval.
-  /// Mutable at runtime: the server's overload back-off raises it to
-  /// thin the report stream (§4.5 trade-off: longer T_s, higher
-  /// detection latency, lower report rate).
+  /// Mutable at runtime: the control loop's overload back-off
+  /// (Network::command_sampling) raises it to thin the report stream
+  /// (§4.5 trade-off: longer T_s, higher detection latency, lower report
+  /// rate).
   [[nodiscard]] double default_interval() const { return default_interval_; }
   void set_default_interval(double interval) { default_interval_ = interval; }
 

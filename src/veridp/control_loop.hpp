@@ -2,7 +2,7 @@
 // tick-driven controller that observes measured ingest pressure and
 // commands (1) the data-plane sampling interval factor, (2) the ingest
 // shed modulus and (3) the admission regime — replacing the open-loop
-// fixed watermark + fixed modulus + one-shot back-off of PR 1.
+// fixed watermark + fixed modulus of the ungoverned ingest.
 //
 // Observation. Each tick the caller hands the loop a PressureSample of
 // cumulative ingest counters plus the instantaneous queue depth. The

@@ -244,7 +244,7 @@ ParallelServer::StreamTotals ParallelServer::verify_stream(
       const std::size_t lo = static_cast<std::size_t>(w) * chunk;
       const std::size_t hi =
           lo + chunk < reports.size() ? lo + chunk : reports.size();
-      // Batched kernel over the worker's slice, autotuned lanes per
+      // Batched kernel over the worker's slice, default lanes per
       // call; scratch is worker-local like the memo.
       const std::size_t bs = autotuned_batch_size();
       ReportBatch soa;

@@ -60,7 +60,8 @@ void ReachIndex::erase_inport(PortKey inport) { reach_.erase(inport); }
 // many entry ports, and each visit re-derives the identical drop
 // predicate and forwarding atoms — each a fresh chain of BDD ANDs inside
 // the provider. Exact nested-map keying (no packed-key collisions);
-// element references are stable under unordered_map growth.
+// element references are stable under unordered_map growth. Never kept
+// across calls: the provider's rules may change in between.
 struct PathTableBuilder::TransferMemo {
   explicit TransferMemo(const TransferProvider* p) : provider(p) {}
 
@@ -92,13 +93,13 @@ struct PathTableBuilder::TransferMemo {
 // recursion on long paths, but path lengths are bounded by the loop
 // cut-off so plain recursion via a helper lambda is fine and clearer.
 void PathTableBuilder::traverse(PathTable& table, PortKey inport,
-                                ReachIndex* reach, TransferMemo* memo) const {
+                                ReachIndex* reach, TransferMemo& memo) const {
   struct Walker {
     const PathTableBuilder& b;
     PathTable& table;
     PortKey inport;
     ReachIndex* reach;
-    TransferMemo* memo;
+    TransferMemo& memo;
     std::vector<Hop> path;
     std::vector<PortKey> visited;  // arrival ports on the current path
 
@@ -110,21 +111,18 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
       const PortId n = b.topo_->num_ports(s);
 
       // BF masks for every hop this switch can emit from x — data ports
-      // 1..n then ⊥ — in one batched Murmur3 sweep, instead of one hash
-      // per (atom, port) tag insert below (atoms sharing an output port
-      // would each re-hash the same hop).
-      std::vector<Hop> fan;
-      fan.reserve(n + 1);
-      for (PortId out = 1; out <= n; ++out) fan.push_back(Hop{x, s, out});
-      fan.push_back(Hop{x, s, kDropPort});
-      std::vector<std::uint64_t> fan_masks(fan.size());
-      BloomTag::hop_masks(fan.data(), fan.size(), tag.bits(),
-                          fan_masks.data());
+      // 1..n then ⊥ — hashed once per step instead of once per (atom,
+      // port) tag insert below (atoms sharing an output port would each
+      // re-hash the same hop).
+      std::vector<std::uint64_t> fan_masks(n + 1);
+      for (PortId out = 1; out <= n; ++out)
+        fan_masks[out - 1] =
+            BloomTag::of_hop(Hop{x, s, out}, tag.bits()).value();
+      fan_masks[n] = BloomTag::of_hop(Hop{x, s, kDropPort}, tag.bits()).value();
 
       // Drop branch (no rewrites can matter for ⊥).
       {
-        HeaderSet hd = h & (memo ? memo->drop_at(s, x)
-                                 : b.transfer_->transfer(s, x, kDropPort));
+        HeaderSet hd = h & memo.drop_at(s, x);
         if (!hd.empty()) {
           const Hop hop{x, s, kDropPort};
           const BloomTag tag2 =
@@ -136,11 +134,7 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
       }
 
       for (PortId out = 1; out <= n; ++out) {
-        std::vector<FwdAtom> fresh;
-        if (!memo) fresh = b.transfer_->atoms(s, x, out);
-        const std::vector<FwdAtom>& atoms =
-            memo ? memo->atoms_at(s, x, out) : fresh;
-        for (const FwdAtom& atom : atoms) {
+        for (const FwdAtom& atom : memo.atoms_at(s, x, out)) {
           HeaderSet h2 = h & atom.headers;
           if (h2.empty()) continue;
           // Header-rewrite extension (§8): continue with the image.
@@ -179,14 +173,14 @@ PathTable PathTableBuilder::build(ReachIndex* reach) const {
   PathTable table;
   TransferMemo memo(transfer_);
   for (const PortKey& inport : topo_->edge_ports())
-    traverse(table, inport, reach, reuse_ ? &memo : nullptr);
+    traverse(table, inport, reach, memo);
   return table;
 }
 
 void PathTableBuilder::build_from(PathTable& table, PortKey inport,
                                   ReachIndex* reach) const {
   TransferMemo memo(transfer_);
-  traverse(table, inport, reach, reuse_ ? &memo : nullptr);
+  traverse(table, inport, reach, memo);
 }
 
 }  // namespace veridp

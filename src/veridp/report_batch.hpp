@@ -33,15 +33,18 @@ namespace veridp {
 
 // veridp-lint: hot-path
 
-/// Batch size used when a config leaves `batch_size` at 0 ("autotune").
-/// Chosen from bench_batch_kernels' batch-size sweep: throughput rises
-/// steeply up to ~64 lanes (the lockstep eval fan-out saturates), is
-/// flat within noise from 128 to 512, and larger batches only add
-/// latency before the first verdict — 256 sits safely on the plateau
-/// without inflating ingest-to-verdict latency.
-[[nodiscard]] std::size_t autotuned_batch_size();
+/// Batch size used when a config leaves `batch_size` at 0: a fixed
+/// default, not calibrated at run time. Chosen from bench_batch_kernels'
+/// batch-size sweep: throughput rises steeply up to ~64 lanes (the
+/// lockstep eval fan-out saturates), is flat within noise from 128 to
+/// 512, and larger batches only add latency before the first verdict —
+/// 256 sits safely on the plateau without inflating ingest-to-verdict
+/// latency.
+[[nodiscard]] inline constexpr std::size_t autotuned_batch_size() {
+  return 256;
+}
 
-/// Resolves a configured batch size: 0 means the autotuned default,
+/// Resolves a configured batch size: 0 means the fixed default (256),
 /// 1 means the scalar (pre-batching) path, anything else is taken
 /// verbatim.
 [[nodiscard]] inline std::size_t resolve_batch_size(std::size_t configured) {
@@ -69,10 +72,6 @@ struct ReportBatch {
 
   /// Appends one decoded report as a new lane.
   void push(const TagReport& r);
-
-  /// Decodes one wire datagram into a new lane; false — and no lane —
-  /// on a malformed payload (same acceptance as wire::decode_report).
-  bool push_wire(const std::vector<std::uint8_t>& datagram);
 
   /// Reassembles lane i as a TagReport (scalar-fallback edges, verdict
   /// sinks, failure retention — the cold per-lane paths).

@@ -115,7 +115,7 @@ TEST(BatchVerify, VerdictsBitIdenticalAcrossBatchSizes) {
 
   const std::vector<TagReport> stream = mixed_stream(d, 42, 60);
   // 1 exercises the degenerate single-lane batch; 3 and 8 exercise
-  // chunk remainders; 256 is the autotune default; the full stream in
+  // chunk remainders; 256 is the fixed default; the full stream in
   // one call exercises large intra-batch duplicate distances.
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{256},
@@ -295,8 +295,8 @@ TEST(BatchVerify, ServerVerifyBatchMatchesScalarServer) {
 
 // Ingest-level equality: the same offer stream (valid, malformed,
 // duplicate-seq and overflow datagrams) through batch_size 1 (scalar
-// legacy), 0 (autotune) and a deliberately awkward 5 must produce the
-// same health ledger — passed/stale/failed AND shed/quarantined/deduped
+// legacy), 0 (the fixed default) and a deliberately awkward 5 must
+// produce the same health ledger — passed/stale/failed AND shed/quarantined/deduped
 // — and the same retained failures.
 TEST(BatchVerify, IngestHealthIdenticalAcrossBatchSizes) {
   Topology topo = fat_tree(4);

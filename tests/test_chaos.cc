@@ -10,8 +10,8 @@
 //    fault and no rule-update timing can make a report verify as failed;
 //  * fault visibility: a genuinely faulty switch is still detected and
 //    localized through a lossy channel;
-//  * graceful overload: a report flood triggers sampling back-off on the
-//    switches instead of unbounded queue growth.
+//  * graceful overload: a report flood makes the control loop command
+//    sampling back-off on the switches instead of unbounded queue growth.
 #include <gtest/gtest.h>
 
 #include "controller/routing.hpp"
@@ -19,6 +19,7 @@
 #include "dataplane/wire.hpp"
 #include "testutil.hpp"
 #include "veridp/channel.hpp"
+#include "veridp/control_loop.hpp"
 #include "veridp/ingest.hpp"
 #include "veridp/server.hpp"
 #include "veridp/workload.hpp"
@@ -194,9 +195,10 @@ TEST(Chaos, SwitchFaultDetectedAndLocalizedOverLossyChannel) {
   EXPECT_GT(blamed, 0u) << "localization should name edge_0_0";
 }
 
-// Overload end to end: a flood through a small ingest queue raises the
-// switches' sampling interval via the back-off signal; the report stream
-// thins instead of the queue growing without bound.
+// Overload end to end: a flood through a small ingest queue raises
+// pressure; the governor's control tick commands the switches' sampling
+// interval up (Network::command_sampling), so the report stream thins
+// instead of the queue growing without bound.
 TEST(Chaos, OverloadTriggersSamplingBackoffEndToEnd) {
   Topology topo = linear(3);
   Controller c(topo);
@@ -210,15 +212,18 @@ TEST(Chaos, OverloadTriggersSamplingBackoffEndToEnd) {
   icfg.capacity = 32;
   icfg.high_watermark = 16;
   ReportIngest ingest(server, icfg);
-  ingest.set_backoff_sink([&net](double factor) {
-    net.scale_sampling(factor);  // southbound delivered on first try
-    return true;
+  IngestGovernor governor(ingest);
+  double commanded = 1.0;
+  governor.set_sampling_sink([&net, &commanded](double factor) {
+    net.command_sampling(factor);
+    commanded = factor;
   });
 
   const PacketHeader h =
       testutil::header(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 2, 1));
   const PortKey entry{0, 3};
   const int kFlood = 400;
+  const int kTickEvery = 50;  // control ticks are coarser than arrivals
   std::uint64_t sampled_before = 0, sampled_after = 0;
   bool backed_off = false;
   for (int i = 0; i < kFlood; ++i) {
@@ -228,14 +233,16 @@ TEST(Chaos, OverloadTriggersSamplingBackoffEndToEnd) {
       if (backed_off) ++sampled_after;
       else ++sampled_before;
     }
-    if (!backed_off && ingest.health().backoff_acked > 0) backed_off = true;
     for (const TagReport& rep : r.reports)
       ingest.offer(wire::encode_report(rep));
+    if ((i + 1) % kTickEvery == 0) {
+      governor.tick();
+      if (commanded > 1.0) backed_off = true;
+    }
   }
   ingest.process();
 
   const IngestHealth health = ingest.health();
-  EXPECT_EQ(health.backoff_acked, 1u);
   EXPECT_TRUE(backed_off);
   EXPECT_LE(ingest.queue_depth(), icfg.capacity);
   EXPECT_GT(health.shed, 0u);

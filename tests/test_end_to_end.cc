@@ -18,6 +18,11 @@ struct TopoCase {
   int kind;  // 0=linear(5) 1=ft4 2=internet2(3) 3=stanford(14,2) 4=toy
 };
 
+// Names each case after its topology. Without this gtest prints a byte
+// dump of the struct, which holds the `name` pointer, so the test names
+// would change with every build and every run of the test lister.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
 Topology make(int kind) {
   switch (kind) {
     case 0: return linear(5);

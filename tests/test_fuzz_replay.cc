@@ -90,7 +90,7 @@ TEST(FuzzReplay, CheckedInCorpusReplaysWithoutDivergence) {
 TEST(FuzzReplay, CorpusDigestsUnchangedByIngestBatching) {
   // The batched verification pipeline is verdict-identical by contract
   // (DESIGN.md §11), so replaying the corpus with the scalar legacy
-  // path (batch_size 1), the autotuned batch (0) and an awkward odd
+  // path (batch_size 1), the default batch (0) and an awkward odd
   // size must reproduce the recorded trace digests byte for byte.
   const auto paths = list_corpus(VERIDP_FUZZ_CORPUS_DIR);
   ASSERT_FALSE(paths.empty());

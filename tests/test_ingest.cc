@@ -1,7 +1,7 @@
 // ReportIngest tests: decode quarantine, sequence dedup, loss accounting,
-// bounded-queue load shedding with sampling back-off, and the conservation
-// law passed + failed + stale + shed + quarantined + deduped (+ in-queue)
-// == received.
+// bounded-queue deterministic load shedding, governed regimes, and the
+// conservation law passed + failed + stale + shed + quarantined + deduped
+// (+ in-queue) == received.
 #include "veridp/ingest.hpp"
 
 #include <gtest/gtest.h>
@@ -118,15 +118,6 @@ TEST(Ingest, OverloadShedsDeterministicallyAndStaysBounded) {
   cfg.shed_modulus = 4;
   ReportIngest ingest(rig.server, cfg);
 
-  int nacks = 0;
-  std::uint64_t signals = 0;
-  double factor_seen = 0.0;
-  ingest.set_backoff_sink([&](double factor) {
-    ++signals;
-    factor_seen = factor;
-    return ++nacks > 2;  // lose the first two back-off messages
-  });
-
   const TagReport base = rig.one_report();
   const std::uint32_t flood = 500;
   for (std::uint32_t s = 1; s <= flood; ++s) {
@@ -145,13 +136,6 @@ TEST(Ingest, OverloadShedsDeterministicallyAndStaysBounded) {
   EXPECT_EQ(h.accounted() + ingest.queue_depth(), h.received)
       << "every datagram is in exactly one bucket";
 
-  // Back-off: two lost signals, each retried after exponentially more
-  // arrivals, then the third attempt acked.
-  EXPECT_EQ(h.backoff_signals, 3u);
-  EXPECT_EQ(h.backoff_acked, 1u);
-  EXPECT_EQ(signals, 3u);
-  EXPECT_DOUBLE_EQ(factor_seen, cfg.backoff_factor);
-
   // Draining the queue closes the books: accounted == received.
   ingest.process();
   h = ingest.health();
@@ -159,29 +143,6 @@ TEST(Ingest, OverloadShedsDeterministicallyAndStaysBounded) {
   EXPECT_EQ(h.accounted(), h.received);
   EXPECT_GT(h.passed, 0u);
   EXPECT_EQ(h.failed, 0u) << "shedding must not manufacture failures";
-}
-
-TEST(Ingest, BackoffGivesUpAfterMaxRetries) {
-  Rig rig;
-  IngestConfig cfg;
-  cfg.capacity = 4;
-  cfg.high_watermark = 2;
-  cfg.backoff_max_retries = 3;
-  ReportIngest ingest(rig.server, cfg);
-  ingest.set_backoff_sink([](double) { return false; });  // always lost
-
-  const TagReport base = rig.one_report();
-  for (std::uint32_t s = 2; s <= 2000; ++s) {
-    TagReport r = base;
-    r.seq = s;
-    ingest.offer_report(r);
-  }
-  const IngestHealth h = ingest.health();
-  // Initial attempt + max_retries, then it stops asking; shedding still
-  // bounds the queue.
-  EXPECT_EQ(h.backoff_signals, 1u + cfg.backoff_max_retries);
-  EXPECT_EQ(h.backoff_acked, 0u);
-  EXPECT_LE(ingest.queue_depth(), cfg.capacity);
 }
 
 TEST(Ingest, ConfigValidationRejectsDegenerateConfigs) {
@@ -198,10 +159,6 @@ TEST(Ingest, ConfigValidationRejectsDegenerateConfigs) {
 
   cfg = {};
   cfg.shed_modulus = 0;  // seq % 0 is UB
-  EXPECT_THROW(ReportIngest(rig.server, cfg), std::invalid_argument);
-
-  cfg = {};
-  cfg.backoff_factor = 0.5;  // a "back-off" that speeds switches up
   EXPECT_THROW(ReportIngest(rig.server, cfg), std::invalid_argument);
 
   EXPECT_NO_THROW(IngestConfig{}.validate());
@@ -274,11 +231,6 @@ TEST(Ingest, GovernedRegimesApplyTheirDeclaredPolicies) {
   cfg.capacity = 32;
   cfg.high_watermark = 4;  // would shed ungoverned; governed ignores it
   ReportIngest ingest(rig.server, cfg);
-  std::uint64_t backoffs = 0;
-  ingest.set_backoff_sink([&](double) {
-    ++backoffs;
-    return true;
-  });
   const TagReport base = rig.one_report();
   auto offer_seq = [&](std::uint32_t s) {
     TagReport r = base;
@@ -287,12 +239,10 @@ TEST(Ingest, GovernedRegimesApplyTheirDeclaredPolicies) {
   };
 
   // kNormal / kVerifyAll: everything up to capacity is admitted — the
-  // legacy watermark no longer sheds, and the one-shot back-off stays
-  // quiet (the control loop owns the sampling actuator now).
+  // ungoverned watermark no longer sheds.
   ingest.govern(AdmissionRegime::kNormal, 1);
   for (std::uint32_t s = 2; s < 12; ++s) EXPECT_TRUE(offer_seq(s));
   EXPECT_EQ(ingest.health().shed, 0u);
-  EXPECT_EQ(backoffs, 0u);
   EXPECT_FALSE(ingest.shedding());
 
   // kSoft / kDeterministicSample: only seq % modulus == 0 survives.
@@ -327,7 +277,6 @@ TEST(Ingest, GovernedRegimesApplyTheirDeclaredPolicies) {
   h = ingest.health();
   EXPECT_TRUE(h.conserved());
   EXPECT_EQ(h.failed, 0u);
-  EXPECT_EQ(backoffs, 0u) << "governed ingest never fires the legacy signal";
 }
 
 TEST(Ingest, FailuresAreKeptForLocalization) {

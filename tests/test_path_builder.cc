@@ -175,6 +175,18 @@ TEST(PathBuilder, FatTreeRoutingTableIsSaneAndDisjoint) {
   EXPECT_GE(stats.num_pairs, 16u * 15u);
   EXPECT_GE(stats.num_paths, stats.num_pairs);
   EXPECT_TRUE(table.disjoint_headers());
+  // Every entry's tag is exactly BF(h0) | BF(h1) | ... over its own hops:
+  // the builder's per-step port fan hashes each hop once and ORs the
+  // same bits Algorithm 1 accumulates in the data plane.
+  std::size_t tagged = 0;
+  table.for_each([&tagged](PortKey, PortKey, const PathEntry& e) {
+    BloomTag expect(BloomTag::kDefaultBits);
+    for (const Hop& hop : e.path)
+      expect |= BloomTag::of_hop(hop, BloomTag::kDefaultBits);
+    EXPECT_EQ(e.tag, expect);
+    ++tagged;
+  });
+  EXPECT_EQ(tagged, stats.num_paths);
   // Spot-check a delivery path exists and is shortest (<= 5 hops + deliver).
   const auto& subnets = topo.subnets();
   const auto& [sp, ss] = subnets.front();

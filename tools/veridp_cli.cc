@@ -250,10 +250,6 @@ int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
 
   ReportChannel channel(ccfg);
   ReportIngest ingest(server);
-  ingest.set_backoff_sink([&net](double factor) {
-    net.scale_sampling(factor);
-    return true;
-  });
 
   Rng rng(seed);
   FaultInjector inject(net);
@@ -346,10 +342,8 @@ int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
               static_cast<unsigned long long>(h.shed),
               static_cast<unsigned long long>(h.quarantined),
               static_cast<unsigned long long>(h.deduped));
-  std::printf("ingest:  lost-estimate %llu backoff signals %llu acked %llu\n",
-              static_cast<unsigned long long>(h.lost_estimate),
-              static_cast<unsigned long long>(h.backoff_signals),
-              static_cast<unsigned long long>(h.backoff_acked));
+  std::printf("ingest:  lost-estimate %llu\n",
+              static_cast<unsigned long long>(h.lost_estimate));
   std::printf("server:  epoch %u snapshots %zu verified %llu\n",
               server.epoch(), server.snapshots(),
               static_cast<unsigned long long>(server.reports_verified()));
