@@ -227,17 +227,12 @@ RunResult CampaignRunner::run(const FuzzSchedule& schedule) const {
   int current_round = 0;
   int localized_budget = knobs_.localize_budget;
   std::vector<TagReport> verified_stream;
-  std::uint64_t tally_passed = 0, tally_failed = 0, tally_stale = 0;
+  VerdictTotals tally;
 
   ingest.set_verdict_sink([&](const TagReport& rep, const Verdict& v) {
     verified_stream.push_back(rep);
     result.verdict_kinds_seen |= verdict_bit(v.status);
-    if (v.ok()) {
-      ++tally_passed;
-    } else if (v.status == VerifyStatus::kStaleEpoch) {
-      ++tally_stale;
-    } else {
-      ++tally_failed;
+    if (tally.add(v)) {
       ++result.failed_verdicts;
       if (!result.detected) {
         result.detected = true;
@@ -670,9 +665,9 @@ RunResult CampaignRunner::run(const FuzzSchedule& schedule) const {
     const ParallelServer::StreamTotals t =
         parallel.verify_stream(verified_stream, knobs_.parallel_workers);
     result.parallel_match = t.verified == verified_stream.size() &&
-                            t.passed == tally_passed &&
-                            t.failed == tally_failed &&
-                            t.stale == tally_stale;
+                            t.passed == tally.passed &&
+                            t.failed == tally.failed &&
+                            t.stale == tally.stale;
     trace << "parallel verified=" << t.verified << " passed=" << t.passed
           << " failed=" << t.failed << " stale=" << t.stale << " match="
           << result.parallel_match << "\n";

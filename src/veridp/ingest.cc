@@ -26,59 +26,21 @@ void IngestConfig::validate() const {
 }
 
 ReportIngest::ReportIngest(Server& server, IngestConfig cfg)
-    : server_(&server), cfg_(cfg) {
+    : server_(&server),
+      cfg_(cfg),
+      admission_(cfg.capacity, cfg.high_watermark, cfg.shed_modulus),
+      seqs_(cfg.dedup_window) {
   cfg_.validate();
 }
 
-bool ReportIngest::note_sequence(SwitchId sw, std::uint32_t seq) {
-  return seq_state_.try_emplace(sw, cfg_.dedup_window)
-      .first->second.note(seq);
-}
-
-void ReportIngest::govern(AdmissionRegime regime,
-                          std::uint32_t shed_modulus) {
-  governed_ = true;
-  if (shed_modulus != 0) cfg_.shed_modulus = shed_modulus;
-  if (regime != regime_) {
-    regime_ = regime;
-    ++health_.regime_transitions;
-  }
-}
-
-bool ReportIngest::admit(std::uint32_t seq) {
-  if (governed_) {
-    // Declared regime policies (admission.hpp).
-    switch (policy_for(regime_)) {
-      case AdmissionPolicy::kQuarantineOnly:
-        ++health_.shed;
-        return false;
-      case AdmissionPolicy::kDeterministicSample:
-        if (queue_.size() >= cfg_.capacity || seq % cfg_.shed_modulus != 0) {
-          ++health_.shed;
-          return false;
-        }
-        return true;
-      case AdmissionPolicy::kVerifyAll:
-        if (queue_.size() >= cfg_.capacity) {
-          ++health_.shed;
-          return false;
-        }
-        return true;
-    }
-    return true;  // unreachable
-  }
-  // Ungoverned policy: fixed watermark + deterministic modulus.
-  if (queue_.size() >= cfg_.capacity) {
-    ++health_.shed;
+bool ReportIngest::admit(const TagReport& report) {
+  if (!seqs_.note(report.outport.sw, report.seq)) {
+    ++health_.deduped;
     return false;
   }
-  if (queue_.size() >= cfg_.high_watermark) {
-    // Deterministic sample: the kept subset depends only on sequence
-    // numbers, so a rerun with the same seed sheds the same reports.
-    if (seq % cfg_.shed_modulus != 0) {
-      ++health_.shed;
-      return false;
-    }
+  if (!admission_.admits(queue_.size(), report.seq)) {
+    ++health_.shed;
+    return false;
   }
   return true;
 }
@@ -88,29 +50,17 @@ bool ReportIngest::offer(const std::vector<std::uint8_t>& datagram) {
   auto report = wire::decode_report(datagram);
   if (!report) {
     ++health_.quarantined;
-    quarantine_.push_back(datagram);
-    if (quarantine_.size() > cfg_.quarantine_keep) quarantine_.pop_front();
+    keep_recent(quarantine_, datagram, kQuarantineKeep);
     return false;
   }
-
-  if (report->seq != 0 &&
-      !note_sequence(report->outport.sw, report->seq)) {
-    ++health_.deduped;
-    return false;
-  }
-
-  if (!admit(report->seq)) return false;
+  if (!admit(*report)) return false;
   queue_.push(*report);
   return true;
 }
 
 bool ReportIngest::offer_report(const TagReport& report) {
   ++health_.received;
-  if (report.seq != 0 && !note_sequence(report.outport.sw, report.seq)) {
-    ++health_.deduped;
-    return false;
-  }
-  if (!admit(report.seq)) return false;
+  if (!admit(report)) return false;
   queue_.push(report);
   return true;
 }
@@ -124,7 +74,9 @@ std::size_t ReportIngest::process(std::size_t max) {
     // Server::verify per report — the differential baseline.
     while (n < max && head < queue_.size()) {
       const TagReport report = queue_.report(head++);
-      account(report, server_->verify(report));
+      const Verdict v = server_->verify(report);
+      if (verdict_sink_) verdict_sink_(report, v);
+      if (totals_.add(v)) keep_recent(failures_, report, cfg_.failure_keep);
       ++n;
     }
   } else {
@@ -138,17 +90,9 @@ std::size_t ReportIngest::process(std::size_t max) {
         // the TagReport is only reassembled for the cold consumers
         // (sink, failure retention), never for a plain pass.
         const Verdict& v = verdicts_[k];
-        if (verdict_sink_) {
-          account(queue_.report(head + k), v);
-        } else if (v.ok()) {
-          ++health_.passed;
-        } else if (v.status == VerifyStatus::kStaleEpoch) {
-          ++health_.stale;
-        } else {
-          ++health_.failed;
-          failures_.push_back(queue_.report(head + k));
-          if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-        }
+        if (verdict_sink_) verdict_sink_(queue_.report(head + k), v);
+        if (totals_.add(v))
+          keep_recent(failures_, queue_.report(head + k), cfg_.failure_keep);
       }
       head += chunk;
       n += chunk;
@@ -158,26 +102,15 @@ std::size_t ReportIngest::process(std::size_t max) {
   return n;
 }
 
-void ReportIngest::account(const TagReport& report, const Verdict& v) {
-  if (verdict_sink_) verdict_sink_(report, v);
-  if (v.ok()) {
-    ++health_.passed;
-  } else if (v.status == VerifyStatus::kStaleEpoch) {
-    ++health_.stale;
-  } else {
-    ++health_.failed;
-    failures_.push_back(report);
-    if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-  }
-}
-
 IngestHealth ReportIngest::health() const {
   IngestHealth h = health_;
+  h.passed = totals_.passed;
+  h.failed = totals_.failed;
+  h.stale = totals_.stale;
   h.in_queue = queue_.size();
-  h.regime = regime_;
-  h.lost_estimate = 0;
-  for (const auto& [sw, tracker] : seq_state_)
-    h.lost_estimate += tracker.lost_estimate();
+  h.regime = admission_.regime();
+  h.regime_transitions = admission_.transitions();
+  h.lost_estimate = seqs_.lost_estimate();
   return h;
 }
 

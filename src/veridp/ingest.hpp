@@ -20,6 +20,9 @@
 //     control loop's job (IngestGovernor -> Network::command_sampling,
 //     control_loop.hpp), not the ingest's.
 //
+// Dedup (SeqTrackers) and admission (AdmissionControl) are the types the
+// ParallelServer lanes use, so the two ingest paths cannot drift apart.
+//
 // Every received datagram lands in exactly one bucket:
 //   passed + failed + stale + shed + quarantined + deduped + in-queue
 //     == received
@@ -36,7 +39,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "veridp/admission.hpp"
@@ -51,7 +53,6 @@ struct IngestConfig {
   std::size_t high_watermark = 768;   ///< shedding starts above this
   std::uint32_t shed_modulus = 4;     ///< keep seq % modulus == 0 when shedding
   std::size_t dedup_window = 4096;    ///< remembered seqs per switch
-  std::size_t quarantine_keep = 16;   ///< malformed payloads retained
   std::size_t failure_keep = 32;      ///< failed reports retained
   /// Lanes per verify_epoch_aware_batch call in process(): 0 = the fixed
   /// default, 256 (autotuned_batch_size()), 1 forces the pre-batching
@@ -133,20 +134,21 @@ class ReportIngest {
   /// Edge-triggered: applying the current regime again only updates the
   /// modulus. Typically called each tick by IngestGovernor
   /// (control_loop.hpp).
-  void govern(AdmissionRegime regime, std::uint32_t shed_modulus);
-  [[nodiscard]] bool governed() const { return governed_; }
-  [[nodiscard]] AdmissionRegime regime() const { return regime_; }
+  void govern(AdmissionRegime regime, std::uint32_t shed_modulus) {
+    admission_.govern(regime, shed_modulus);
+  }
+  [[nodiscard]] bool governed() const { return admission_.governed(); }
+  [[nodiscard]] AdmissionRegime regime() const { return admission_.regime(); }
 
   [[nodiscard]] const IngestConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] bool shedding() const {
-    return governed_ ? regime_ != AdmissionRegime::kNormal
-                     : queue_.size() >= cfg_.high_watermark;
+    return admission_.shedding(queue_.size());
   }
   /// Health counters with the loss estimate refreshed.
   [[nodiscard]] IngestHealth health() const;
 
-  /// Most recent malformed payloads (bounded by quarantine_keep).
+  /// Most recent malformed payloads (at most kQuarantineKeep).
   [[nodiscard]] const std::deque<std::vector<std::uint8_t>>& quarantine()
       const {
     return quarantine_;
@@ -158,28 +160,23 @@ class ReportIngest {
   }
 
  private:
-  /// Returns false if the report is a duplicate.
-  bool note_sequence(SwitchId sw, std::uint32_t seq);
-  /// Post-dedup admission decision shared by offer / offer_report:
-  /// returns true iff the report should be queued (false: counted shed).
-  bool admit(std::uint32_t seq);
-  /// Terminal accounting for one verified report: verdict sink, health
-  /// bucket, failure retention — shared by the scalar and batched
-  /// process paths.
-  void account(const TagReport& report, const Verdict& v);
+  /// Dedup + admission shared by offer / offer_report: returns true iff
+  /// the report should be queued (false: counted deduped or shed).
+  bool admit(const TagReport& report);
 
   Server* server_;
   IngestConfig cfg_;
+  /// Decode and admission buckets; the verdict buckets live in totals_.
   IngestHealth health_;
-  bool governed_ = false;  ///< a control loop commands admission
-  AdmissionRegime regime_ = AdmissionRegime::kNormal;
+  VerdictTotals totals_;
+  AdmissionControl admission_;
+  SeqTrackers seqs_;
   /// Admitted-but-unverified reports in SoA form: offer() appends
   /// lanes, process() verifies a prefix batch-wise and compacts. The
   /// columns double as the verify kernel's input — no per-report
   /// repacking between the queue and the verifier.
   ReportBatch queue_;
   std::vector<Verdict> verdicts_;  ///< process() scratch, one per lane
-  std::unordered_map<SwitchId, SeqTracker> seq_state_;
   std::deque<std::vector<std::uint8_t>> quarantine_;
   std::deque<TagReport> failures_;
 

@@ -29,50 +29,35 @@ inline T read_relaxed(const std::atomic<T>& c) {
   return c.load(std::memory_order_relaxed);
 }
 
-}  // namespace
-
-EpochTables EpochSnapshot::view() const {
-  // Checked builds abort here on use-after-retire / use-across-
-  // failsafe-flip (lockdep.hpp); release builds see gen 0 and pass.
-  lockdep::snapshot::check(lifecycle_gen, "EpochSnapshot::view");
-  EpochTables t;
-  t.epoch_checking = epoch_checking;
-  t.epoch = epoch;
-  t.table_valid_from = table_valid_from;
-  t.table_valid_to = table_valid_to;
-  t.grace_window = grace_window;
-  t.current = current.get();
-  t.ring = ranges.data();
-  t.ring_size = ranges.size();
-  return t;
+// One lane per worker; the global bounds split evenly so total queued
+// work stays capped at queue_capacity whatever the lane count.
+std::size_t lane_capacity(const ParallelConfig& cfg, std::size_t nlanes) {
+  return std::max<std::size_t>(cfg.queue_capacity / nlanes, 1);
 }
+
+std::size_t lane_watermark(const ParallelConfig& cfg, std::size_t nlanes) {
+  return std::min(std::min(cfg.high_watermark, cfg.queue_capacity) / nlanes,
+                  lane_capacity(cfg, nlanes));
+}
+
+}  // namespace
 
 ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
                                int tag_bits)
     : controller_(&controller),
       cfg_(cfg),
       tag_bits_(tag_bits),
+      shards_(cfg.shards ? cfg.shards : 1),
+      admission_(lane_capacity(cfg, worker_count()),
+                 lane_watermark(cfg, worker_count()),
+                 cfg.shed_modulus ? cfg.shed_modulus : 1),
       failure_queue_(cfg.failure_keep > 64 ? cfg.failure_keep : 64),
-      prof_(cfg.workers ? cfg.workers
-                        : (std::thread::hardware_concurrency()
-                               ? std::thread::hardware_concurrency()
-                               : 1)) {
-  if (cfg_.high_watermark > cfg_.queue_capacity)
-    cfg_.high_watermark = cfg_.queue_capacity;
-  if (cfg_.shed_modulus == 0) cfg_.shed_modulus = 1;
-  if (cfg_.batch_size == 0) cfg_.batch_size = 1;
-  if (cfg_.steal_threshold == 0) cfg_.steal_threshold = 1;
-  shards_ = cfg_.shards ? cfg_.shards : 1;
-  // One lane per worker; the global bounds split evenly so total queued
-  // work stays capped at queue_capacity whatever the lane count.
+      prof_(worker_count()) {
   const std::size_t nlanes = worker_count();
-  lane_capacity_ = cfg_.queue_capacity / nlanes;
-  if (lane_capacity_ == 0) lane_capacity_ = 1;
-  lane_watermark_ = cfg_.high_watermark / nlanes;
-  if (lane_watermark_ > lane_capacity_) lane_watermark_ = lane_capacity_;
   lanes_.reserve(nlanes);
   for (std::size_t i = 0; i < nlanes; ++i)
-    lanes_.push_back(std::make_unique<Lane>(lane_capacity_));
+    lanes_.push_back(std::make_unique<Lane>(lane_capacity(cfg_, nlanes),
+                                            cfg_.dedup_window));
   controller_->subscribe(
       [this](const RuleEvent& ev) { on_rule_event(ev); });
 }
@@ -108,32 +93,19 @@ void ParallelServer::rebuild_snapshot() {
   auto table = std::make_shared<const PathTable>(builder.build());
 
   auto next = std::make_shared<EpochSnapshot>();
-  next->epoch = epoch_;
-  next->table_valid_from = epoch_;
-  next->table_valid_to = epoch_;  // covers exactly what it was built from
+  // Covers exactly the epoch it was built from.
+  next->epoch = next->table_valid_from = next->table_valid_to = epoch_;
   next->grace_window = grace_window_;
   next->epoch_checking = epoch_checking_;
   next->current = std::move(table);
 
-  // Retire the superseded table into the ring (same rule as
-  // Server::rebuild): reports sampled under epochs
-  // [prev valid-from, dirty_from_ - 1] are still in flight and must be
-  // judged against it.
+  // Retire the superseded table into the ring (the rule Server::rebuild
+  // shares).
   // veridp-lint: allow(relaxed-atomic, control-thread self-read; it performed every store)
   const std::shared_ptr<const EpochSnapshot> prev =
       snap_.load(std::memory_order_relaxed);
-  if (epoch_checking_ && prev && dirty_ &&
-      dirty_from_ > prev->table_valid_from) {
-    next->retained.push_back(prev->current);
-    next->ranges.push_back(
-        {prev->table_valid_from, dirty_from_ - 1, prev->current.get()});
-    for (std::size_t i = 0;
-         i < prev->ranges.size() && next->ranges.size() < ring_capacity_;
-         ++i) {
-      next->retained.push_back(prev->retained[i]);
-      next->ranges.push_back(prev->ranges[i]);
-    }
-  }
+  if (epoch_checking_ && prev)
+    next->inherit_ring(*prev, dirty_ ? dirty_from_ : epoch_, ring_capacity_);
 
   // A/B flip: the finished unit lands in the inactive slot, then one
   // atomic store makes it the served snapshot. A successful publish
@@ -204,19 +176,6 @@ bool ParallelServer::heartbeat(std::uint64_t deadline_ticks) {
   return read_relaxed(in_failsafe_);
 }
 
-void ParallelServer::govern(AdmissionRegime regime,
-                            std::uint32_t shed_modulus) {
-  // veridp-lint: allow(relaxed-atomic, advisory admission knobs; each read stands alone)
-  governed_.store(true, std::memory_order_relaxed);
-  if (shed_modulus != 0)
-    // veridp-lint: allow(relaxed-atomic, advisory admission knobs; each read stands alone)
-    governed_modulus_.store(shed_modulus, std::memory_order_relaxed);
-  const auto next = static_cast<std::uint8_t>(regime);
-  // veridp-lint: allow(relaxed-atomic, advisory admission knobs; each read stands alone)
-  if (regime_.exchange(next, std::memory_order_relaxed) != next)
-    bump_relaxed(regime_transitions_);
-}
-
 unsigned ParallelServer::worker_count() const {
   if (cfg_.workers) return cfg_.workers;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -255,16 +214,7 @@ ParallelServer::StreamTotals ParallelServer::verify_stream(
         soa.clear();
         for (std::size_t k = 0; k < m; ++k) soa.push(reports[i + k]);
         verify_epoch_aware_batch(soa, 0, m, tables, &memo, verdicts.data());
-        for (std::size_t k = 0; k < m; ++k) {
-          const Verdict& v = verdicts[k];
-          ++t.verified;
-          if (v.ok())
-            ++t.passed;
-          else if (v.status == VerifyStatus::kStaleEpoch)
-            ++t.stale;
-          else
-            ++t.failed;
-        }
+        for (std::size_t k = 0; k < m; ++k) t.add(verdicts[k]);
         i += m;
       }
     });
@@ -272,12 +222,7 @@ ParallelServer::StreamTotals ParallelServer::verify_stream(
   for (std::thread& t : pool) t.join();
 
   StreamTotals total;
-  for (const StreamTotals& p : parts) {
-    total.verified += p.verified;
-    total.passed += p.passed;
-    total.failed += p.failed;
-    total.stale += p.stale;
-  }
+  for (const StreamTotals& p : parts) total += p;
   return total;
 }
 
@@ -296,59 +241,22 @@ void ParallelServer::start() {
   failure_consumer_ = std::thread([this] { failure_loop(); });
 }
 
-void ParallelServer::count_shed(Lane& lane) {
-  MutexLock lk(lane.mu);
-  ++lane.shed;
-}
-
 bool ParallelServer::submit(const TagReport& report) {
   Lane& lane = lane_for(report.outport.sw);
   {
     MutexLock lk(lane.mu);
     ++lane.received;
-    if (report.seq != 0 &&
-        !lane.seq.try_emplace(report.outport.sw, cfg_.dedup_window)
-             .first->second.note(report.seq)) {
+    if (!lane.seqs.note(report.outport.sw, report.seq)) {
       ++lane.deduped;
       return false;
     }
   }
-  // Shed checks run outside the lane ingest lock — the queue has its
-  // own synchronization and the depth reading is advisory anyway.
-  const std::size_t depth = lane.q.size();
-  if (read_relaxed(governed_)) {
-    // A control loop commands admission: the regime's declared policy
-    // (admission.hpp) replaces the fixed watermark.
-    switch (policy_for(static_cast<AdmissionRegime>(read_relaxed(regime_)))) {
-      case AdmissionPolicy::kQuarantineOnly:
-        count_shed(lane);
-        return false;
-      case AdmissionPolicy::kDeterministicSample:
-        if (depth >= lane_capacity_ ||
-            report.seq % read_relaxed(governed_modulus_) != 0) {
-          count_shed(lane);
-          return false;
-        }
-        break;
-      case AdmissionPolicy::kVerifyAll:
-        if (depth >= lane_capacity_) {
-          count_shed(lane);
-          return false;
-        }
-        break;
-    }
-  } else {
-    if (depth >= lane_capacity_) {
-      count_shed(lane);
-      return false;
-    }
-    if (depth >= lane_watermark_ && report.seq % cfg_.shed_modulus != 0) {
-      count_shed(lane);
-      return false;
-    }
-  }
-  if (!lane.q.try_push(report)) {
-    count_shed(lane);
+  // The shed decision runs outside the lane ingest lock — the queue has
+  // its own synchronization and the depth reading is advisory anyway.
+  if (!admission_.admits(lane.q.size(), report.seq) ||
+      !lane.q.try_push(report)) {
+    MutexLock lk(lane.mu);
+    ++lane.shed;
     return false;
   }
   return true;
@@ -365,8 +273,7 @@ bool ParallelServer::submit_datagram(
       ++lane.quarantined;
     }
     MutexLock qk(quarantine_mu_);
-    quarantine_.push_back(datagram);
-    if (quarantine_.size() > cfg_.quarantine_keep) quarantine_.pop_front();
+    keep_recent(quarantine_, datagram, kQuarantineKeep);
     return false;
   }
   return submit(*report);
@@ -374,7 +281,7 @@ bool ParallelServer::submit_datagram(
 
 ParallelServer::Lane* ParallelServer::pick_victim(std::size_t own) {
   Lane* best = nullptr;
-  std::size_t best_depth = cfg_.steal_threshold - 1;
+  std::size_t best_depth = kStealThreshold - 1;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (i == own) continue;
     const std::size_t depth = lanes_[i]->q.size();
@@ -399,12 +306,12 @@ void ParallelServer::worker_loop(unsigned idx) {
   Lane& own = *lanes_[idx % lanes_.size()];
   const std::size_t own_idx = idx % lanes_.size();
   std::vector<TagReport> batch;
-  batch.reserve(cfg_.batch_size);
+  batch.reserve(kBatch);
   // Worker-local scratch for the batched verify kernel: the dequeued
   // reports are transposed into SoA lanes once per batch.
   ReportBatch soa;
-  soa.reserve(cfg_.batch_size);
-  std::vector<Verdict> verdicts(cfg_.batch_size);
+  soa.reserve(kBatch);
+  std::vector<Verdict> verdicts(kBatch);
   // Per-worker duplicate-report memo (lock-free by construction). It is
   // valid for exactly one snapshot; `held` keeps that snapshot alive so
   // a newly published snapshot can never be allocated at the same
@@ -416,13 +323,13 @@ void ParallelServer::worker_loop(unsigned idx) {
     // Own lane first — the shard-affine fast path: one lane-local lock,
     // no sibling contention.
     Lane* src = &own;
-    std::size_t n = own.q.try_pop_batch(batch, cfg_.batch_size);
+    std::size_t n = own.q.try_pop_batch(batch, kBatch);
     WorkerProfile::bump(wp.lock_acquisitions);
     if (n == 0) {
       // Dry lane: bounded rebalance — raid the deepest sibling once.
       WorkerProfile::bump(wp.steal_attempts);
       if (Lane* victim = pick_victim(own_idx)) {
-        n = victim->q.try_pop_batch(batch, cfg_.batch_size);
+        n = victim->q.try_pop_batch(batch, kBatch);
         WorkerProfile::bump(wp.lock_acquisitions);
         if (n != 0) {
           src = victim;
@@ -437,9 +344,7 @@ void ParallelServer::worker_loop(unsigned idx) {
       // bounded backoff, then rescan (a sibling may have filled while
       // we only get woken for our own lane's pushes).
       const clock::time_point w0 = clock::now();
-      n = own.q.pop_batch_for(
-          batch, cfg_.batch_size,
-          std::chrono::microseconds(cfg_.idle_backoff_us));
+      n = own.q.pop_batch_for(batch, kBatch, kIdleBackoff);
       WorkerProfile::bump(wp.lock_acquisitions);
       WorkerProfile::bump(
           wp.queue_wait_ns,
@@ -467,21 +372,17 @@ void ParallelServer::worker_loop(unsigned idx) {
     for (const TagReport& r : batch) soa.push(r);
     if (verdicts.size() < n) verdicts.resize(n);
     verify_epoch_aware_batch(soa, 0, n, tables, &memo, verdicts.data());
+    VerdictTotals t;
     for (std::size_t k = 0; k < n; ++k) {
-      const Verdict& v = verdicts[k];
-      bump_relaxed(ws.verified);
-      if (v.ok()) {
-        bump_relaxed(ws.passed);
-      } else if (v.status == VerifyStatus::kStaleEpoch) {
-        bump_relaxed(ws.stale);
-      } else {
-        bump_relaxed(ws.failed);
-        // Hand the mismatch to the localization stage. Bounded: if the
-        // stage is hopelessly behind, overflow mismatches are dropped
-        // (they are still counted in `failed`).
-        failure_queue_.try_push(batch[k]);
-      }
+      // Hand each mismatch to the localization stage. Bounded: if the
+      // stage is hopelessly behind, overflow mismatches are dropped
+      // (they are still counted in `failed`).
+      if (t.add(verdicts[k])) failure_queue_.try_push(batch[k]);
     }
+    bump_relaxed(ws.verified, t.verified);
+    bump_relaxed(ws.passed, t.passed);
+    bump_relaxed(ws.failed, t.failed);
+    bump_relaxed(ws.stale, t.stale);
     bump_relaxed(ws.memo_hits, memo.hits() - hits_before);
     WorkerProfile::bump(wp.memo_hits, memo.hits() - hits_before);
     WorkerProfile::bump(wp.memo_lookups, memo.lookups() - lookups_before);
@@ -506,10 +407,8 @@ void ParallelServer::failure_loop() {
     if (n == 0) return;
     {
       MutexLock lk(failures_mu_);
-      for (const TagReport& r : batch) {
-        failures_.push_back(r);
-        if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-      }
+      for (const TagReport& r : batch)
+        keep_recent(failures_, r, cfg_.failure_keep);
     }
     failure_queue_.task_done(n);
   }
@@ -554,8 +453,7 @@ ParallelHealth ParallelServer::health() const {
     h.deduped += lane->deduped;
     h.shed += lane->shed;
     h.quarantined += lane->quarantined;
-    for (const auto& [sw, tracker] : lane->seq)
-      h.lost_estimate += tracker.lost_estimate();
+    h.lost_estimate += lane->seqs.lost_estimate();
   }
   for (const auto& ws : worker_stats_) {
     h.verified += read_relaxed(ws->verified);
@@ -565,8 +463,8 @@ ParallelHealth ParallelServer::health() const {
     h.memo_hits += read_relaxed(ws->memo_hits);
   }
   h.in_queue = queue_depth();
-  h.regime = static_cast<AdmissionRegime>(read_relaxed(regime_));
-  h.regime_transitions = read_relaxed(regime_transitions_);
+  h.regime = admission_.regime();
+  h.regime_transitions = admission_.transitions();
   h.failsafe_events = read_relaxed(failsafe_events_);
   h.snapshot_flips = read_relaxed(published_);
   return h;

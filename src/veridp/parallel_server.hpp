@@ -39,9 +39,10 @@
 // publish() builds the *next* snapshot in a **fresh BDD arena** (its own
 // HeaderSpace), so table construction never mutates nodes a reader is
 // evaluating, then swaps the pointer. Old snapshots stay alive until the
-// last in-flight batch drops its reference. This subsumes the sequential
-// Server's snapshot ring: epoch-stale reports verify against the table
-// of the epoch they were stamped under, without locking the hot path.
+// last in-flight batch drops its reference. The ring is built by
+// EpochSnapshot::inherit_ring, as in the sequential Server: epoch-stale
+// reports verify against the table of the epoch they were stamped
+// under, without locking the hot path.
 //
 // Equivalence guarantee: verification classification is the shared
 // verify_epoch_aware (verifier.hpp) — the same function the sequential
@@ -72,12 +73,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/scal_profiler.hpp"
@@ -96,16 +97,9 @@ struct ParallelConfig {
   std::size_t queue_capacity = 4096; ///< hard bound, split across lanes
   std::size_t high_watermark = 3072; ///< shedding starts above this (split)
   std::uint32_t shed_modulus = 4;    ///< keep seq % modulus == 0 when shedding
-  /// Reports per worker dequeue — also the lane count handed to
-  /// verify_epoch_aware_batch per snapshot load (one RCU read and one
-  /// batched kernel call per dequeue).
-  std::size_t batch_size = 32;
   std::size_t shards = 16;           ///< switch-affinity granularity
   std::size_t dedup_window = 4096;   ///< remembered seqs per switch
   std::size_t failure_keep = 256;    ///< mismatched reports retained
-  std::size_t quarantine_keep = 16;  ///< malformed payloads retained
-  std::size_t steal_threshold = 1;   ///< min victim depth worth stealing
-  std::uint32_t idle_backoff_us = 200;  ///< idle sleep between steal scans
 };
 
 /// Merged health counters (the parallel analogue of IngestHealth).
@@ -159,57 +153,12 @@ struct ParallelHealth {
   }
 };
 
-/// One immutable published unit: the current table, the retired ring and
-/// the epoch bookkeeping verify_epoch_aware needs. Never mutated after
-/// publication; destroyed when the last reader drops its shared_ptr.
-///
-/// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
-/// registers a lockdep lifecycle generation at construction; the
-/// failsafe watchdog retires the generation of the slot it abandons,
-/// and view() aborts on a retired or destroyed generation — the
-/// arena-generation trick of §8.3 applied to snapshots. The contract
-/// it enforces: a snapshot handle is used within one batch under a
-/// live shared_ptr pin and never across a failsafe flip.
-struct EpochSnapshot {
-  std::uint32_t epoch = 0;
-  std::uint32_t table_valid_from = 0;
-  /// Last epoch the snapshot's current table definitively covers —
-  /// the epoch at publication. Reports stamped beyond it (rule events
-  /// the publisher has not absorbed, e.g. while wedged in failsafe) fall
-  /// under verify_epoch_aware's ahead-of-table rule: pass-conclusive,
-  /// mismatch → kStaleEpoch, never a false positive.
-  std::uint32_t table_valid_to = UINT32_MAX;
-  std::uint32_t grace_window = 64;
-  bool epoch_checking = false;
-  std::shared_ptr<const PathTable> current;
-  /// Retired tables kept alive for the ring (newest first, parallel to
-  /// `ranges`).
-  std::vector<std::shared_ptr<const PathTable>> retained;
-  std::vector<EpochTables::Range> ranges;
-  /// Lifecycle generation: 0 in release builds (check() passes), a
-  /// fresh registry entry in checked builds. The field itself is
-  /// unconditional so checked and plain TUs agree on the layout.
-  std::uint64_t lifecycle_gen = lockdep::snapshot::register_gen();
-
-  EpochSnapshot() = default;
-  EpochSnapshot(const EpochSnapshot&) = delete;
-  EpochSnapshot& operator=(const EpochSnapshot&) = delete;
-  ~EpochSnapshot() { lockdep::snapshot::unregister(lifecycle_gen); }
-
-  [[nodiscard]] EpochTables view() const;
-};
-
 class ParallelServer {
  public:
   /// Verdict totals of one verify_stream call. Bit-identical to the
   /// pass/fail/stale counters a sequential Server accumulates over the
   /// same reports.
-  struct StreamTotals {
-    std::uint64_t verified = 0;
-    std::uint64_t passed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t stale = 0;
-  };
+  using StreamTotals = VerdictTotals;
 
   /// Subscribes to `controller`'s rule events (controller must outlive
   /// the server and mutate only from the control thread).
@@ -263,24 +212,15 @@ class ParallelServer {
     return failsafe_events_.load(std::memory_order_relaxed);
   }
 
-  /// Hands admission over to a control loop (IngestGovernor / the
-  /// operator): the commanded regime's declared policy (admission.hpp)
-  /// replaces the fixed per-lane watermark — kNormal admits up to the
-  /// lane bound, kSoft keeps the deterministic seq % modulus sample,
-  /// kHard admits nothing. Edge-triggered transition counting. Control
-  /// thread writes; submit() reads the commands with relaxed atomics
-  /// (a report raced with a regime flip lands under either policy,
-  /// both of which conserve).
-  void govern(AdmissionRegime regime, std::uint32_t shed_modulus);
-  [[nodiscard]] bool governed() const {
-    // veridp-lint: allow(relaxed-atomic, advisory admission knob; each read stands alone)
-    return governed_.load(std::memory_order_relaxed);
+  /// Hands admission over to a control loop, exactly as
+  /// ReportIngest::govern does (AdmissionControl, admission.hpp): the
+  /// regime's policy replaces the fixed per-lane watermark. Control
+  /// thread writes; submit() reads the command with relaxed atomics.
+  void govern(AdmissionRegime regime, std::uint32_t shed_modulus) {
+    admission_.govern(regime, shed_modulus);
   }
-  [[nodiscard]] AdmissionRegime regime() const {
-    // veridp-lint: allow(relaxed-atomic, advisory admission knob; each read stands alone)
-    return static_cast<AdmissionRegime>(
-        regime_.load(std::memory_order_relaxed));
-  }
+  [[nodiscard]] bool governed() const { return admission_.governed(); }
+  [[nodiscard]] AdmissionRegime regime() const { return admission_.regime(); }
 
   /// Verifies `reports` across `workers` threads (0 = configured count)
   /// against the currently published snapshot and returns merged totals.
@@ -362,14 +302,15 @@ class ParallelServer {
   /// any access outside a MutexLock(lane.mu) scope. The queue carries
   /// its own internal synchronization (it must: thieves bypass `mu`).
   struct alignas(64) Lane {
-    explicit Lane(std::size_t capacity) : q(capacity) {}
+    Lane(std::size_t capacity, std::size_t dedup_window)
+        : seqs(dedup_window), q(capacity) {}
     // Lock class + declared order (DESIGN.md §12): lane admission is
     // the outermost ingest lock — it may be held while touching the
     // lane's queue or the quarantine buffer, never the reverse.
     // ACQUIRED_BEFORE("BoundedMpmcQueue::mu")
     // ACQUIRED_BEFORE("ParallelServer::quarantine_mu")
     mutable Mutex mu{"ParallelServer::Lane::mu"};
-    std::unordered_map<SwitchId, SeqTracker> seq GUARDED_BY(mu);
+    SeqTrackers seqs GUARDED_BY(mu);
     std::uint64_t received GUARDED_BY(mu) = 0;
     std::uint64_t deduped GUARDED_BY(mu) = 0;
     std::uint64_t shed GUARDED_BY(mu) = 0;
@@ -386,8 +327,7 @@ class ParallelServer {
     const std::size_t shard = static_cast<std::size_t>(sw) % shards_;
     return *lanes_[shard % lanes_.size()];
   }
-  void count_shed(Lane& lane);
-  /// Deepest sibling lane with at least steal_threshold queued reports,
+  /// Deepest sibling lane with at least kStealThreshold queued reports,
   /// or nullptr. O(lanes) advisory size reads — only taken when the
   /// worker's own lane ran dry.
   Lane* pick_victim(std::size_t own);
@@ -395,12 +335,22 @@ class ParallelServer {
   void worker_loop(unsigned idx);
   void failure_loop();
 
+  /// Reports per worker dequeue — also the lane count handed to
+  /// verify_epoch_aware_batch per snapshot load (one RCU read and one
+  /// batched kernel call per dequeue).
+  static constexpr std::size_t kBatch = 32;
+  /// Minimum victim depth worth stealing.
+  static constexpr std::size_t kStealThreshold = 1;
+  /// Idle park on the own lane between steal scans.
+  static constexpr std::chrono::microseconds kIdleBackoff{200};
+
   Controller* controller_;
   ParallelConfig cfg_;
   int tag_bits_;
-  std::size_t shards_ = 16;         ///< affinity modulus (>= 1)
-  std::size_t lane_capacity_ = 0;   ///< per-lane hard bound
-  std::size_t lane_watermark_ = 0;  ///< per-lane shedding threshold
+  std::size_t shards_ = 16;  ///< affinity modulus (>= 1)
+  /// Per-lane admission: the global capacity and watermark split evenly
+  /// across lanes; one regime command governs every lane.
+  AdmissionControl admission_;
 
   // Control-plane state (single control thread).
   bool synced_ = false;
@@ -427,12 +377,6 @@ class ParallelServer {
   std::uint64_t missed_heartbeats_ = 0;
   std::atomic<bool> in_failsafe_{false};
   std::atomic<std::uint64_t> failsafe_events_{0};
-
-  // Admission commands (control thread writes, submit() reads).
-  std::atomic<bool> governed_{false};
-  std::atomic<std::uint8_t> regime_{0};
-  std::atomic<std::uint32_t> governed_modulus_{1};
-  std::atomic<std::uint64_t> regime_transitions_{0};
 
   // Data-plane pipeline.
   std::vector<std::unique_ptr<Lane>> lanes_;

@@ -1,22 +1,25 @@
 // Per-switch sequence-number bookkeeping: duplicate suppression over a
 // bounded window plus a span-based loss estimate.
 //
-// Factored out of ReportIngest so the sequential ingest and the
-// ParallelServer's per-switch ingest shards share one definition of
-// "duplicate" and "lost" — the oracle-equality stress tests depend on
-// both paths agreeing exactly, whichever thread a report arrives on.
+// SeqTrackers is the whole dedup state of ReportIngest and of each
+// ParallelServer lane, so both paths share one definition of "duplicate"
+// and "lost" — the oracle-equality stress tests depend on both paths
+// agreeing exactly, whichever thread a report arrives on.
 //
 // Not internally synchronized: the sequential ingest is single-threaded
 // and the parallel ingest holds its lane's ingest lock around every
 // call. That external contract is machine-checked at the owner:
-// ParallelServer declares its tracker map GUARDED_BY(lane.mu) (see
+// ParallelServer declares its trackers GUARDED_BY(lane.mu) (see
 // common/thread_annotations.hpp and DESIGN.md §8), so under the
 // clang-strict preset no call can reach a shared SeqTracker unlocked.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "common/types.hpp"
 
 namespace veridp {
 
@@ -93,6 +96,33 @@ class SeqTracker {
   std::uint64_t unique_ = 0;
   std::uint64_t resights_ = 0;
   bool evicted_ = false;  ///< window memory incomplete from here on
+};
+
+/// Per-switch SeqTracker map: the dedup decision and loss estimate of
+/// one ingest path.
+class SeqTrackers {
+ public:
+  /// `window` is each switch's SeqTracker window.
+  explicit SeqTrackers(std::size_t window) : window_(window) {}
+
+  /// Records `seq` for switch `sw`. Returns false iff it is a duplicate.
+  /// seq 0 means "no sequence" (v1 payloads) and always passes.
+  bool note(SwitchId sw, std::uint32_t seq) {
+    return seq == 0 ||
+           by_switch_.try_emplace(sw, window_).first->second.note(seq);
+  }
+
+  /// Summed per-switch loss estimates (SeqTracker::lost_estimate).
+  [[nodiscard]] std::uint64_t lost_estimate() const {
+    std::uint64_t lost = 0;
+    for (const auto& [sw, tracker] : by_switch_)
+      lost += tracker.lost_estimate();
+    return lost;
+  }
+
+ private:
+  std::unordered_map<SwitchId, SeqTracker> by_switch_;
+  std::size_t window_;
 };
 
 }  // namespace veridp

@@ -51,26 +51,18 @@ void Server::rebuild() {
   if (mode_ == Mode::kIncremental) {
     updater_ = std::make_unique<IncrementalUpdater>(space_, topo, tag_bits_);
     updater_->initialize(controller_->logical_configs());
-    verifier_ = std::make_unique<Verifier>(updater_->table());
   } else {
-    // Retire the superseded table into the snapshot ring: reports sampled
-    // under epochs [table_valid_from_, dirty_from_ - 1] are still in
-    // flight and must be judged against it, and Verdict::matched pointers
-    // handed out against it stay valid until the snapshot ages out.
-    if (epoch_checking_ && synced_ && dirty_ &&
-        dirty_from_ > table_valid_from_) {
-      ring_.push_front(
-          {table_valid_from_, dirty_from_ - 1, std::move(full_table_)});
-      while (ring_.size() > ring_capacity_) ring_.pop_back();
-      ring_view_.clear();
-      for (const Snapshot& s : ring_)
-        ring_view_.push_back({s.first_epoch, s.last_epoch, &s.table});
-    }
     ConfigTransferProvider provider(space_, topo,
                                     controller_->logical_configs());
     PathTableBuilder builder(space_, topo, provider, tag_bits_);
-    full_table_ = builder.build();
-    verifier_ = std::make_unique<Verifier>(full_table_);
+    auto next = std::make_shared<EpochSnapshot>();
+    next->epoch = next->table_valid_from = next->table_valid_to = epoch_;
+    next->current = std::make_shared<const PathTable>(builder.build());
+    // The superseded table joins the ring exactly as in ParallelServer.
+    if (epoch_checking_ && snap_)
+      next->inherit_ring(*snap_, dirty_ ? dirty_from_ : epoch_,
+                         ring_capacity_);
+    snap_ = std::move(next);
   }
   table_valid_from_ = epoch_;
   dirty_ = false;
@@ -110,7 +102,7 @@ void Server::ensure_fresh() {
 }
 
 const PathTable& Server::current_table() const {
-  return mode_ == Mode::kIncremental ? updater_->table() : full_table_;
+  return mode_ == Mode::kIncremental ? updater_->table() : *snap_->current;
 }
 
 const PathTable& Server::table() {
@@ -121,7 +113,13 @@ const PathTable& Server::table() {
 PathTableStats Server::stats() { return table().stats(); }
 
 EpochTables Server::epoch_tables() const {
+  // The snapshot supplies the tables; the epoch fields come from the
+  // server, whose epoch moves past the snapshot's while it is dirty.
   EpochTables t;
+  if (mode_ == Mode::kFullRebuild)
+    t = snap_->view();
+  else
+    t.current = &updater_->table();
   t.epoch_checking = epoch_checking_;
   t.epoch = epoch_;
   t.table_valid_from = table_valid_from_;
@@ -130,22 +128,13 @@ EpochTables Server::epoch_tables() const {
   // epochs before the first pending event.
   t.table_valid_to = dirty_ ? dirty_from_ - 1 : epoch_;
   t.grace_window = grace_window_;
-  t.current = &current_table();
-  t.ring = ring_view_.data();
-  t.ring_size = ring_view_.size();
   return t;
 }
 
 Verdict Server::verify(const TagReport& report) {
   ensure_fresh();
-  ++verified_;
   const Verdict v = verify_epoch_aware(report, epoch_tables(), &memo_);
-  if (v.ok())
-    ++passed_;
-  else if (v.status == VerifyStatus::kStaleEpoch)
-    ++stale_;
-  else
-    ++failed_;
+  totals_.add(v);
   return v;
 }
 
@@ -154,15 +143,7 @@ void Server::verify_batch(const ReportBatch& batch, std::size_t first,
   if (count == 0) return;
   ensure_fresh();
   verify_epoch_aware_batch(batch, first, count, epoch_tables(), &memo_, out);
-  verified_ += count;
-  for (std::size_t k = 0; k < count; ++k) {
-    if (out[k].ok())
-      ++passed_;
-    else if (out[k].status == VerifyStatus::kStaleEpoch)
-      ++stale_;
-    else
-      ++failed_;
-  }
+  for (std::size_t k = 0; k < count; ++k) totals_.add(out[k]);
 }
 
 LocalizeResult Server::localize(const TagReport& report) const {

@@ -14,16 +14,17 @@
 // Epoch-aware verification (opt-in via enable_epoch_checking): every rule
 // event advances the config epoch; reports carry the epoch they were
 // sampled under. A report stamped with a past epoch is checked against
-// the path table that was current *then* — kFullRebuild keeps a small
-// ring of superseded table snapshots; kIncremental (whose table mutates
-// in place) applies a grace-window rule instead: a recent-epoch report
-// that fails against the current table is classified kStaleEpoch, not
-// failed. Either way, in-flight reports straddling a rule update can
-// never produce false positives. The ring also keeps Verdict::matched
-// pointers valid across lazy rebuilds until a snapshot ages out.
+// the path table that was current *then* — kFullRebuild keeps its table
+// in an EpochSnapshot whose ring of superseded tables is built exactly
+// as ParallelServer builds its published one (EpochSnapshot::
+// inherit_ring); kIncremental (whose table mutates in place) applies a
+// grace-window rule instead: a recent-epoch report that fails against
+// the current table is classified kStaleEpoch, not failed. Either way,
+// in-flight reports straddling a rule update can never produce false
+// positives. The ring also keeps Verdict::matched pointers valid across
+// lazy rebuilds until a snapshot ages out.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -93,14 +94,18 @@ class Server {
   /// verified against the current table.
   [[nodiscard]] std::uint32_t table_epoch() const { return table_valid_from_; }
   /// Number of retained snapshots (kFullRebuild + epoch checking only).
-  [[nodiscard]] std::size_t snapshots() const { return ring_.size(); }
+  [[nodiscard]] std::size_t snapshots() const {
+    return snap_ ? snap_->ranges.size() : 0;
+  }
 
   // Health counters. Every verify() lands in exactly one of passed /
   // failed / stale.
-  [[nodiscard]] std::uint64_t reports_verified() const { return verified_; }
-  [[nodiscard]] std::uint64_t reports_passed() const { return passed_; }
-  [[nodiscard]] std::uint64_t reports_failed() const { return failed_; }
-  [[nodiscard]] std::uint64_t reports_stale() const { return stale_; }
+  [[nodiscard]] std::uint64_t reports_verified() const {
+    return totals_.verified;
+  }
+  [[nodiscard]] std::uint64_t reports_passed() const { return totals_.passed; }
+  [[nodiscard]] std::uint64_t reports_failed() const { return totals_.failed; }
+  [[nodiscard]] std::uint64_t reports_stale() const { return totals_.stale; }
 
   /// Duplicate-report memo effectiveness (see VerifyMemo).
   [[nodiscard]] std::uint64_t memo_hits() const { return memo_.hits(); }
@@ -124,12 +129,6 @@ class Server {
   }
 
  private:
-  struct Snapshot {
-    std::uint32_t first_epoch = 0;  ///< valid range, inclusive
-    std::uint32_t last_epoch = 0;
-    PathTable table;
-  };
-
   void on_rule_event(const RuleEvent& ev);
   void rebuild();
   void ensure_fresh();
@@ -146,9 +145,10 @@ class Server {
   Mode mode_;
   int tag_bits_;
   HeaderSpace space_;
-  PathTable full_table_;  // kFullRebuild mode storage
+  /// kFullRebuild mode storage: the current table (built in space_) and
+  /// the ring of superseded ones.
+  std::shared_ptr<const EpochSnapshot> snap_;
   std::unique_ptr<IncrementalUpdater> updater_;
-  std::unique_ptr<Verifier> verifier_;
   bool synced_ = false;
   bool dirty_ = false;
 
@@ -165,20 +165,12 @@ class Server {
   std::uint32_t epoch_ = 0;
   std::uint32_t table_valid_from_ = 0;
   std::uint32_t dirty_from_ = 0;  ///< epoch of the first event since clean
-  std::deque<Snapshot> ring_;     ///< newest first
-  /// Cached non-owning view of `ring_` (refreshed on rebuild) so each
-  /// verify() builds its EpochTables without allocating.
-  std::vector<EpochTables::Range> ring_view_;
   /// Duplicate-report fast path. Valid only for the current epoch state:
   /// cleared on every rebuild AND on every in-place incremental update
   /// (kIncremental mutates the table without a rebuild).
   VerifyMemo memo_;
 
-  // Health counters.
-  std::uint64_t verified_ = 0;
-  std::uint64_t passed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t stale_ = 0;
+  VerdictTotals totals_;  ///< health counters
 };
 
 }  // namespace veridp

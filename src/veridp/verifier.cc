@@ -412,4 +412,36 @@ Verdict Verifier::verify(const TagReport& report) {
   return v;
 }
 
+EpochTables EpochSnapshot::view() const {
+  // Checked builds abort here on use-after-retire / use-across-
+  // failsafe-flip (lockdep.hpp); release builds see gen 0 and pass.
+  lockdep::snapshot::check(lifecycle_gen, "EpochSnapshot::view");
+  EpochTables t;
+  t.epoch_checking = epoch_checking;
+  t.epoch = epoch;
+  t.table_valid_from = table_valid_from;
+  t.table_valid_to = table_valid_to;
+  t.grace_window = grace_window;
+  t.current = current.get();
+  t.ring = ranges.data();
+  t.ring_size = ranges.size();
+  return t;
+}
+
+void EpochSnapshot::inherit_ring(const EpochSnapshot& prev,
+                                 std::uint32_t superseded_at,
+                                 std::size_t capacity) {
+  if (capacity == 0) return;
+  if (superseded_at > prev.table_valid_from) {
+    retained.push_back(prev.current);
+    ranges.push_back(
+        {prev.table_valid_from, superseded_at - 1, prev.current.get()});
+  }
+  for (std::size_t i = 0; i < prev.ranges.size() && ranges.size() < capacity;
+       ++i) {
+    retained.push_back(prev.retained[i]);
+    ranges.push_back(prev.ranges[i]);
+  }
+}
+
 }  // namespace veridp

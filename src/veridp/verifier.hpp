@@ -20,8 +20,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/lockdep.hpp"
 #include "dataplane/packet.hpp"
 #include "veridp/path_table.hpp"
 
@@ -59,6 +61,36 @@ struct Verdict {
   }
 };
 
+/// Verdict totals. Every verified report lands in exactly one of passed /
+/// stale / failed; both servers, the sequential ingest, the parallel
+/// workers and verify_stream all count through add().
+struct VerdictTotals {
+  std::uint64_t verified = 0;
+  std::uint64_t passed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t stale = 0;
+
+  /// Books one verdict. Returns true iff it counted as failed — the
+  /// caller's cue to retain the report for localization.
+  bool add(const Verdict& v) {
+    const bool is_stale = v.status == VerifyStatus::kStaleEpoch;
+    const bool is_failed = !v.ok() && !is_stale;
+    ++verified;
+    passed += v.ok();
+    stale += is_stale;
+    failed += is_failed;
+    return is_failed;
+  }
+
+  VerdictTotals& operator+=(const VerdictTotals& o) {
+    verified += o.verified;
+    passed += o.passed;
+    failed += o.failed;
+    stale += o.stale;
+    return *this;
+  }
+};
+
 /// A non-owning view of "which path table verifies which config epoch":
 /// the current table, the ring of retired tables (newest first) and the
 /// grace window. Both the sequential Server and the ParallelServer's
@@ -92,6 +124,55 @@ struct EpochTables {
 
   /// The table covering epoch `e`, or nullptr if none is retained.
   [[nodiscard]] const PathTable* for_epoch(std::uint32_t e) const;
+};
+
+/// One immutable unit of epoch → table state: the current table, the
+/// retired ring and the epoch bookkeeping verify_epoch_aware needs. Both
+/// servers own one (ParallelServer publishes it, Server in kFullRebuild
+/// mode rebuilds it). Destroyed when the last reader drops its shared_ptr.
+///
+/// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
+/// registers a lockdep lifecycle generation at construction; the
+/// failsafe watchdog retires the generation of the slot it abandons,
+/// and view() aborts on a retired or destroyed generation — the
+/// arena-generation trick of §8.3 applied to snapshots. The contract
+/// it enforces: a snapshot handle is used within one batch under a
+/// live shared_ptr pin and never across a failsafe flip.
+struct EpochSnapshot {
+  std::uint32_t epoch = 0;
+  std::uint32_t table_valid_from = 0;
+  /// Last epoch the snapshot's current table definitively covers —
+  /// the epoch at publication. Reports stamped beyond it (rule events
+  /// the publisher has not absorbed, e.g. while wedged in failsafe) fall
+  /// under verify_epoch_aware's ahead-of-table rule: pass-conclusive,
+  /// mismatch → kStaleEpoch, never a false positive.
+  std::uint32_t table_valid_to = UINT32_MAX;
+  std::uint32_t grace_window = 64;
+  bool epoch_checking = false;
+  std::shared_ptr<const PathTable> current;
+  /// Retired tables kept alive for the ring (newest first, parallel to
+  /// `ranges`). They also keep Verdict::matched pointers valid until
+  /// their range ages out.
+  std::vector<std::shared_ptr<const PathTable>> retained;
+  std::vector<EpochTables::Range> ranges;
+  /// Lifecycle generation: 0 in release builds (check() passes), a
+  /// fresh registry entry in checked builds. The field itself is
+  /// unconditional so checked and plain TUs agree on the layout.
+  std::uint64_t lifecycle_gen = lockdep::snapshot::register_gen();
+
+  EpochSnapshot() = default;
+  EpochSnapshot(const EpochSnapshot&) = delete;
+  EpochSnapshot& operator=(const EpochSnapshot&) = delete;
+  ~EpochSnapshot() { lockdep::snapshot::unregister(lifecycle_gen); }
+
+  [[nodiscard]] EpochTables view() const;
+
+  /// Fills this fresh snapshot's ring from `prev`, the one it supersedes
+  /// from epoch `superseded_at` on: prev's table is retired as the range
+  /// [prev.table_valid_from, superseded_at - 1] if non-empty, then prev's
+  /// ring follows; at most `capacity` ranges are kept (0 keeps none).
+  void inherit_ring(const EpochSnapshot& prev, std::uint32_t superseded_at,
+                    std::size_t capacity);
 };
 
 /// Epoch-aware Algorithm 3: selects the table by the report's epoch

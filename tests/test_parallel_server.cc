@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
 #include "controller/routing.hpp"
 #include "dataplane/fault.hpp"
 #include "dataplane/network.hpp"
+#include "dataplane/wire.hpp"
 #include "testutil.hpp"
 #include "veridp/channel.hpp"
 #include "veridp/ingest.hpp"
@@ -54,22 +56,10 @@ struct Rig {
   }
 };
 
-struct SeqTotals {
-  std::uint64_t verified = 0, passed = 0, failed = 0, stale = 0;
-};
-
-SeqTotals run_oracle(Server& server, const std::vector<TagReport>& reports) {
-  SeqTotals t;
-  for (const TagReport& r : reports) {
-    const Verdict v = server.verify(r);
-    ++t.verified;
-    if (v.ok())
-      ++t.passed;
-    else if (v.status == VerifyStatus::kStaleEpoch)
-      ++t.stale;
-    else
-      ++t.failed;
-  }
+VerdictTotals run_oracle(Server& server,
+                         const std::vector<TagReport>& reports) {
+  VerdictTotals t;
+  for (const TagReport& r : reports) t.add(server.verify(r));
   return t;
 }
 
@@ -104,7 +94,7 @@ TEST(ParallelServer, StreamTotalsBitIdenticalToSequential) {
   reports.push_back(bogus);
 
   const ParallelServer::StreamTotals par = parallel.verify_stream(reports, 4);
-  const SeqTotals seq = run_oracle(oracle, reports);
+  const VerdictTotals seq = run_oracle(oracle, reports);
 
   EXPECT_EQ(par.verified, seq.verified);
   EXPECT_EQ(par.passed, seq.passed);
@@ -115,49 +105,56 @@ TEST(ParallelServer, StreamTotalsBitIdenticalToSequential) {
 }
 
 TEST(ParallelServer, StreamTotalsMatchAcrossEpochRing) {
-  Rig rig(fat_tree(4));
-  Server oracle(rig.controller, Server::Mode::kFullRebuild);
-  oracle.enable_epoch_checking(/*snapshot_ring=*/8, /*grace_window=*/64);
-  ParallelConfig cfg;
-  cfg.workers = 4;
-  ParallelServer parallel(rig.controller, cfg);
-  parallel.enable_epoch_checking(/*snapshot_ring=*/8, /*grace_window=*/64);
-  rig.install_and_deploy();
-  oracle.sync();
-  parallel.sync();
+  // Capacity 0 keeps no superseded table at all: old-epoch reports fall
+  // to the grace-window rule on both servers alike.
+  for (const std::size_t ring : {std::size_t{8}, std::size_t{0}}) {
+    SCOPED_TRACE("snapshot_ring " + std::to_string(ring));
+    Rig rig(fat_tree(4));
+    Server oracle(rig.controller, Server::Mode::kFullRebuild);
+    oracle.enable_epoch_checking(ring, /*grace_window=*/64);
+    ParallelConfig cfg;
+    cfg.workers = 4;
+    ParallelServer parallel(rig.controller, cfg);
+    parallel.enable_epoch_checking(ring, /*grace_window=*/64);
+    rig.install_and_deploy();
+    oracle.sync();
+    parallel.sync();
 
-  // Phase A reports are stamped with the pre-update epoch.
-  std::vector<TagReport> reports = rig.collect_reports();
-  const std::uint32_t old_epoch = rig.controller.epoch();
+    // Phase A reports are stamped with the pre-update epoch.
+    std::vector<TagReport> reports = rig.collect_reports();
+    const std::uint32_t old_epoch = rig.controller.epoch();
 
-  // Config churn: blackhole two subnets, redeploy, sample again. The
-  // old-epoch reports now straddle the rebuild and must be judged
-  // against the retired table (ring), not the current one.
-  const auto& subnets = rig.topo.subnets();
-  ASSERT_GE(subnets.size(), 2u);
-  for (int i = 0; i < 2; ++i) {
-    const auto& [dst_port, subnet] = subnets[static_cast<std::size_t>(i)];
-    rig.controller.add_rule(dst_port.sw, 7000 + i, Match::dst_prefix(subnet),
-                            Action::drop());
+    // Config churn: blackhole two subnets, redeploy, sample again. The
+    // old-epoch reports now straddle the rebuild and must be judged
+    // against the retired table (ring), not the current one.
+    const auto& subnets = rig.topo.subnets();
+    ASSERT_GE(subnets.size(), 2u);
+    for (int i = 0; i < 2; ++i) {
+      const auto& [dst_port, subnet] = subnets[static_cast<std::size_t>(i)];
+      rig.controller.add_rule(dst_port.sw, 7000 + i,
+                              Match::dst_prefix(subnet), Action::drop());
+    }
+    rig.controller.deploy(rig.net);
+    rig.net.set_config_epoch(rig.controller.epoch());
+    ASSERT_GT(rig.controller.epoch(), old_epoch);
+
+    const std::vector<TagReport> fresh = rig.collect_reports(/*t=*/1.0);
+    reports.insert(reports.end(), fresh.begin(), fresh.end());
+
+    const ParallelServer::StreamTotals par =
+        parallel.verify_stream(reports, 4);
+    const VerdictTotals seq = run_oracle(oracle, reports);
+
+    EXPECT_EQ(par.verified, seq.verified);
+    EXPECT_EQ(par.passed, seq.passed);
+    EXPECT_EQ(par.failed, seq.failed);
+    EXPECT_EQ(par.stale, seq.stale);
+    EXPECT_EQ(par.failed, 0u)
+        << "a consistent plane never fails, whatever the epoch timing";
+    EXPECT_EQ(parallel.snapshot()->ranges.size(), oracle.snapshots());
+    EXPECT_EQ(oracle.snapshots(), ring == 0 ? 0u : 1u)
+        << "the retired table is in the ring iff the ring has room";
   }
-  rig.controller.deploy(rig.net);
-  rig.net.set_config_epoch(rig.controller.epoch());
-  ASSERT_GT(rig.controller.epoch(), old_epoch);
-
-  const std::vector<TagReport> fresh = rig.collect_reports(/*t=*/1.0);
-  reports.insert(reports.end(), fresh.begin(), fresh.end());
-
-  const ParallelServer::StreamTotals par = parallel.verify_stream(reports, 4);
-  const SeqTotals seq = run_oracle(oracle, reports);
-
-  EXPECT_EQ(par.verified, seq.verified);
-  EXPECT_EQ(par.passed, seq.passed);
-  EXPECT_EQ(par.failed, seq.failed);
-  EXPECT_EQ(par.stale, seq.stale);
-  EXPECT_EQ(par.failed, 0u)
-      << "a consistent plane never fails, whatever the epoch timing";
-  EXPECT_GE(parallel.snapshot()->ranges.size(), 1u)
-      << "the retired table must be in the published ring";
 }
 
 // The satellite stress test: N producer threads × M workers over a
@@ -300,14 +297,8 @@ TEST(ParallelServer, StopStartSubmitLifecycleDrainsBothPhases) {
   for (TagReport& r : phase1) r.seq = ++next_seq[r.outport.sw];
   for (TagReport& r : phase2) r.seq = ++next_seq[r.outport.sw];
 
-  SeqTotals seq = run_oracle(oracle, phase1);
-  {
-    const SeqTotals s2 = run_oracle(oracle, phase2);
-    seq.verified += s2.verified;
-    seq.passed += s2.passed;
-    seq.failed += s2.failed;
-    seq.stale += s2.stale;
-  }
+  VerdictTotals seq = run_oracle(oracle, phase1);
+  seq += run_oracle(oracle, phase2);
 
   parallel.start();
   for (const TagReport& r : phase1) ASSERT_TRUE(parallel.submit(r));
@@ -674,6 +665,77 @@ TEST(ParallelServer, GovernedRegimesOnTheParallelIngest) {
   EXPECT_EQ(h.regime_transitions, 3u) << "hard, soft, normal — one each";
   EXPECT_TRUE(h.conserved());
   EXPECT_EQ(h.in_queue, 0u);
+}
+
+// The two ingest paths share one dedup and one admission decision, so
+// one datagram stream must land in the same buckets on a ReportIngest
+// and on a single-lane ParallelServer whose worker never runs (both
+// queues only fill). The stream carries duplicate seqs, truncated
+// payloads and enough reports to overflow the watermark, and is fed
+// ungoverned, then under kSoft, then under kHard.
+TEST(ParallelServer, AdmissionMatchesReportIngestAcrossRegimes) {
+  Rig rig(fat_tree(4));
+  Server server(rig.controller, Server::Mode::kFullRebuild);
+  IngestConfig icfg;
+  icfg.capacity = 256;
+  icfg.high_watermark = 32;
+  icfg.shed_modulus = 4;
+  ReportIngest ingest(server, icfg);
+  ParallelConfig pcfg;
+  pcfg.workers = 1;
+  pcfg.queue_capacity = icfg.capacity;
+  pcfg.high_watermark = icfg.high_watermark;
+  pcfg.shed_modulus = icfg.shed_modulus;
+  ParallelServer parallel(rig.controller, pcfg);
+  rig.install_and_deploy();
+  server.sync();
+  parallel.sync();
+
+  std::vector<std::vector<std::uint8_t>> stream;
+  std::unordered_map<SwitchId, std::uint32_t> next_seq;
+  std::size_t i = 0;
+  for (TagReport r : rig.collect_reports()) {
+    r.seq = ++next_seq[r.outport.sw];
+    std::vector<std::uint8_t> d = wire::encode_report(r);
+    if (++i % 7 == 0) d.pop_back();  // truncated: quarantined
+    stream.push_back(d);
+    if (i % 5 == 0) stream.push_back(d);  // duplicate seq
+  }
+  ASSERT_GT(stream.size(), 3 * icfg.high_watermark);
+
+  const auto feed_and_compare = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      ingest.offer(stream[k]);
+      parallel.submit_datagram(stream[k]);
+    }
+    const IngestHealth a = ingest.health();
+    const ParallelHealth b = parallel.health();
+    EXPECT_EQ(a.received, b.received);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.deduped, b.deduped);
+    EXPECT_EQ(a.quarantined, b.quarantined);
+    EXPECT_EQ(a.in_queue, b.in_queue);
+    EXPECT_EQ(a.lost_estimate, b.lost_estimate);
+    EXPECT_EQ(a.regime, b.regime);
+    EXPECT_TRUE(a.conserved());
+    EXPECT_TRUE(b.conserved());
+    return a;
+  };
+
+  const std::size_t third = stream.size() / 3;
+  const IngestHealth open = feed_and_compare(0, third);
+  EXPECT_GT(open.shed, 0u) << "the stream must overflow the watermark";
+  ingest.govern(AdmissionRegime::kSoft, 2);
+  parallel.govern(AdmissionRegime::kSoft, 2);
+  const IngestHealth soft = feed_and_compare(third, 2 * third);
+  EXPECT_GT(soft.in_queue, open.in_queue) << "kSoft keeps a sample";
+  ingest.govern(AdmissionRegime::kHard, 8);
+  parallel.govern(AdmissionRegime::kHard, 8);
+  const IngestHealth hard = feed_and_compare(2 * third, stream.size());
+  EXPECT_EQ(hard.in_queue, soft.in_queue) << "kHard admits nothing";
+  EXPECT_GT(hard.deduped, 0u);
+  EXPECT_GT(hard.quarantined, 0u);
+  EXPECT_GT(hard.lost_estimate, 0u);
 }
 
 }  // namespace
