@@ -66,40 +66,25 @@ bool ReportIngest::offer_report(const TagReport& report) {
 }
 
 std::size_t ReportIngest::process(std::size_t max) {
-  const std::size_t batch = resolve_batch_size(cfg_.batch_size);
+  constexpr std::size_t kBatch = autotuned_batch_size();
+  verdicts_.resize(kBatch);
   std::size_t head = 0;  // verified prefix of the queue
-  std::size_t n = 0;
-  if (batch <= 1) {
-    // Pre-batching scalar pipeline (batch_size == 1): one
-    // Server::verify per report — the differential baseline.
-    while (n < max && head < queue_.size()) {
-      const TagReport report = queue_.report(head++);
-      const Verdict v = server_->verify(report);
-      if (verdict_sink_) verdict_sink_(report, v);
-      if (totals_.add(v)) keep_recent(failures_, report, cfg_.failure_keep);
-      ++n;
+  while (head < max && head < queue_.size()) {
+    const std::size_t chunk =
+        std::min({kBatch, max - head, queue_.size() - head});
+    server_->verify_batch(queue_, head, chunk, verdicts_.data());
+    for (std::size_t k = 0; k < chunk; ++k) {
+      // The TagReport is only reassembled for the cold consumers (sink,
+      // failure retention), never for a plain pass.
+      const Verdict& v = verdicts_[k];
+      if (verdict_sink_) verdict_sink_(queue_.report(head + k), v);
+      if (totals_.add(v))
+        keep_recent(failures_, queue_.report(head + k), cfg_.failure_keep);
     }
-  } else {
-    verdicts_.resize(batch);
-    while (n < max && head < queue_.size()) {
-      const std::size_t chunk =
-          std::min({batch, max - n, queue_.size() - head});
-      server_->verify_batch(queue_, head, chunk, verdicts_.data());
-      for (std::size_t k = 0; k < chunk; ++k) {
-        // Lanes account in arrival order, exactly like the scalar loop;
-        // the TagReport is only reassembled for the cold consumers
-        // (sink, failure retention), never for a plain pass.
-        const Verdict& v = verdicts_[k];
-        if (verdict_sink_) verdict_sink_(queue_.report(head + k), v);
-        if (totals_.add(v))
-          keep_recent(failures_, queue_.report(head + k), cfg_.failure_keep);
-      }
-      head += chunk;
-      n += chunk;
-    }
+    head += chunk;
   }
   queue_.consume_prefix(head);
-  return n;
+  return head;
 }
 
 IngestHealth ReportIngest::health() const {

@@ -172,11 +172,7 @@ class BoundedMpmcQueue {
   }
 
  private:
-  // Leaf of the declared lock hierarchy (tools/lock_order_extract.py):
-  // lane ingest locks may be held while pushing here, never vice versa
-  // (the same edge the Lane declares from its side — both directions
-  // of the declaration syntax resolve to one DAG edge).
-  // ACQUIRED_AFTER("ParallelServer::Lane::mu")
+  // A leaf lock: no other named lock is taken while it is held.
   mutable Mutex mu_{"BoundedMpmcQueue::mu"};
   CondVar not_empty_;
   CondVar idle_;

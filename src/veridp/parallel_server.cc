@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "dataplane/wire.hpp"
-#include "veridp/path_builder.hpp"
 #include "veridp/report_batch.hpp"
 
 namespace veridp {
@@ -51,6 +50,7 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
       admission_(lane_capacity(cfg, worker_count()),
                  lane_watermark(cfg, worker_count()),
                  cfg.shed_modulus ? cfg.shed_modulus : 1),
+      publisher_(controller, tag_bits, std::nullopt, watchdog_),
       failure_queue_(cfg.failure_keep > 64 ? cfg.failure_keep : 64),
       prof_(worker_count()) {
   const std::size_t nlanes = worker_count();
@@ -58,123 +58,9 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
   for (std::size_t i = 0; i < nlanes; ++i)
     lanes_.push_back(std::make_unique<Lane>(lane_capacity(cfg_, nlanes),
                                             cfg_.dedup_window));
-  controller_->subscribe(
-      [this](const RuleEvent& ev) { on_rule_event(ev); });
 }
 
 ParallelServer::~ParallelServer() { stop(); }
-
-void ParallelServer::enable_epoch_checking(std::size_t snapshot_ring,
-                                           std::uint32_t grace_window) {
-  epoch_checking_ = true;
-  ring_capacity_ = snapshot_ring;
-  grace_window_ = grace_window;
-}
-
-void ParallelServer::on_rule_event(const RuleEvent&) {
-  epoch_ = controller_->epoch();  // events arrive post-bump
-  if (!synced_) return;  // events before the first sync are folded into it
-  if (!dirty_) {
-    dirty_ = true;
-    dirty_from_ = epoch_;
-  }
-}
-
-void ParallelServer::rebuild_snapshot() {
-  const Topology& topo = controller_->topology();
-  // Fresh BDD arena per snapshot: every node the build creates lives in
-  // this new manager, so in-flight readers of previous snapshots never
-  // race with node-store growth. Each HeaderSet keeps its manager alive
-  // via shared_ptr, so the arena lives exactly as long as its table.
-  HeaderSpace space;
-  ConfigTransferProvider provider(space, topo,
-                                  controller_->logical_configs());
-  PathTableBuilder builder(space, topo, provider, tag_bits_);
-  auto table = std::make_shared<const PathTable>(builder.build());
-
-  auto next = std::make_shared<EpochSnapshot>();
-  // Covers exactly the epoch it was built from.
-  next->epoch = next->table_valid_from = next->table_valid_to = epoch_;
-  next->grace_window = grace_window_;
-  next->epoch_checking = epoch_checking_;
-  next->current = std::move(table);
-
-  // Retire the superseded table into the ring (the rule Server::rebuild
-  // shares).
-  // veridp-lint: allow(relaxed-atomic, control-thread self-read; it performed every store)
-  const std::shared_ptr<const EpochSnapshot> prev =
-      snap_.load(std::memory_order_relaxed);
-  if (epoch_checking_ && prev)
-    next->inherit_ring(*prev, dirty_ ? dirty_from_ : epoch_, ring_capacity_);
-
-  // A/B flip: the finished unit lands in the inactive slot, then one
-  // atomic store makes it the served snapshot. A successful publish
-  // always clears any standing failsafe.
-  slots_[1 - active_slot_] = next;
-  active_slot_ = 1 - active_slot_;
-  snap_.store(next, std::memory_order_release);  // the publication point
-  dirty_ = false;
-  missed_heartbeats_ = 0;
-  // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-  in_failsafe_.store(false, std::memory_order_relaxed);
-  bump_relaxed(published_);
-}
-
-void ParallelServer::sync() {
-  epoch_ = controller_->epoch();
-  rebuild_snapshot();
-  synced_ = true;
-}
-
-void ParallelServer::publish() {
-  if (!synced_) {
-    sync();
-    return;
-  }
-  if (dirty_ && !publisher_wedged()) rebuild_snapshot();
-}
-
-bool ParallelServer::heartbeat(std::uint64_t deadline_ticks) {
-  if (!synced_) {
-    sync();
-    return false;
-  }
-  if (!dirty_) {
-    // Nothing pending: the active slot is definitionally good.
-    missed_heartbeats_ = 0;
-    // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-    in_failsafe_.store(false, std::memory_order_relaxed);
-    return false;
-  }
-  if (!publisher_wedged()) {
-    rebuild_snapshot();  // flips, clears missed/failsafe
-    return false;
-  }
-  ++missed_heartbeats_;
-  // veridp-lint: allow(relaxed-atomic, control-thread self-read of its own flag)
-  if (missed_heartbeats_ >= deadline_ticks &&
-      !in_failsafe_.load(std::memory_order_relaxed)) {
-    // Watchdog: the publisher missed its deadline with events pending.
-    // Drop whatever the wedged build left in the inactive slot and
-    // re-assert the last-good active slot as the served snapshot. Its
-    // table_valid_to predates the pending events, so every report
-    // stamped after the wedge degrades to pass-conclusive /
-    // kStaleEpoch — inconclusive, never a false positive. The dropped
-    // slot's lifecycle generation is retired first: it never again
-    // becomes the served snapshot, so any later view() through a
-    // squirreled-away handle is a use-across-failsafe-flip bug and
-    // aborts in checked builds.
-    if (slots_[1 - active_slot_])
-      lockdep::snapshot::retire(slots_[1 - active_slot_]->lifecycle_gen,
-                                "failsafe-flip");
-    slots_[1 - active_slot_].reset();
-    snap_.store(slots_[active_slot_], std::memory_order_release);
-    // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-    in_failsafe_.store(true, std::memory_order_relaxed);
-    bump_relaxed(failsafe_events_);
-  }
-  return read_relaxed(in_failsafe_);
-}
 
 unsigned ParallelServer::worker_count() const {
   if (cfg_.workers) return cfg_.workers;
@@ -228,7 +114,7 @@ ParallelServer::StreamTotals ParallelServer::verify_stream(
 
 void ParallelServer::start() {
   if (running()) return;
-  if (!synced_) sync();
+  if (!publisher_.synced()) publisher_.sync();
   for (const auto& lane : lanes_) lane->q.open();
   failure_queue_.open();
   const unsigned n = worker_count();
@@ -465,8 +351,8 @@ ParallelHealth ParallelServer::health() const {
   h.in_queue = queue_depth();
   h.regime = admission_.regime();
   h.regime_transitions = admission_.transitions();
-  h.failsafe_events = read_relaxed(failsafe_events_);
-  h.snapshot_flips = read_relaxed(published_);
+  h.failsafe_events = watchdog_.failsafe_events();
+  h.snapshot_flips = publisher_.published();
   return h;
 }
 

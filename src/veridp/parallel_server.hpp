@@ -32,17 +32,13 @@
 // bit-identical wherever it lands; dedup stays exact because it is
 // decided at lane admission, before any steal can move the report.
 //
-// Snapshot publication (RCU-style): the path table plus the ring of
+// Snapshot publication (RCU-style, SnapshotPublisher in publisher.hpp,
+// shared with the sequential Server): the path table plus the ring of
 // retired tables live in one immutable EpochSnapshot published through
 // an atomic shared_ptr swap. Readers take no lock — they load the
-// pointer once per batch and verify against frozen state; a concurrent
-// publish() builds the *next* snapshot in a **fresh BDD arena** (its own
-// HeaderSpace), so table construction never mutates nodes a reader is
-// evaluating, then swaps the pointer. Old snapshots stay alive until the
-// last in-flight batch drops its reference. The ring is built by
-// EpochSnapshot::inherit_ring, as in the sequential Server: epoch-stale
-// reports verify against the table of the epoch they were stamped
-// under, without locking the hot path.
+// pointer once per batch and verify against frozen state, while the
+// next snapshot builds in a fresh BDD arena. Old snapshots stay alive
+// until the last in-flight batch drops its reference.
 //
 // Equivalence guarantee: verification classification is the shared
 // verify_epoch_aware (verifier.hpp) — the same function the sequential
@@ -57,11 +53,12 @@
 //
 // Threading contract (machine-checked where expressible — DESIGN.md §8:
 // lane state, failure and quarantine buffers carry GUARDED_BY
-// annotations enforced by the clang-strict preset; the single-threaded
-// control-plane fields and the lock-free snapshot pointer are the two
-// documented-only exceptions, covered by the TSan suites):
-//   * control-plane side (ctor, sync, publish, rule events via the
-//     controller, localize, take_failures) — ONE thread;
+// annotations enforced by the clang-strict preset; the publisher's
+// single-threaded control-plane fields and its lock-free snapshot
+// pointer are the two documented-only exceptions, covered by the TSan
+// suites):
+//   * control-plane side (ctor, sync, publish, heartbeat, rule events
+//     via the controller, localize, take_failures) — ONE thread;
 //   * data-plane side (submit, submit_datagram) — any number of
 //     producer threads, concurrently with workers and with publish();
 //   * health() — any thread, merges per-lane/per-worker counters.
@@ -87,6 +84,7 @@
 #include "veridp/admission.hpp"
 #include "veridp/localizer.hpp"
 #include "veridp/mpmc_queue.hpp"
+#include "veridp/publisher.hpp"
 #include "veridp/seq_tracker.hpp"
 #include "veridp/verifier.hpp"
 
@@ -168,48 +166,31 @@ class ParallelServer {
   ParallelServer(const ParallelServer&) = delete;
   ParallelServer& operator=(const ParallelServer&) = delete;
 
-  /// Same opt-in as Server::enable_epoch_checking: retire up to
-  /// `snapshot_ring` superseded tables and judge uncovered recent epochs
-  /// with the grace-window rule. Call before sync().
+  // -- Snapshot publication + A/B failsafe (SnapshotPublisher) -------------
+  /// Same opt-in as Server::enable_epoch_checking. Call before sync().
   void enable_epoch_checking(std::size_t snapshot_ring = 8,
-                             std::uint32_t grace_window = 64);
-
+                             std::uint32_t grace_window = 64) {
+    publisher_.enable_epoch_checking(snapshot_ring, grace_window);
+  }
   /// Builds and publishes the first snapshot.
-  void sync();
-
-  /// Publishes a fresh snapshot if rule events arrived since the last
-  /// one (lazy, like Server's dirty rebuild). Safe while workers run —
-  /// that is the point. Declines (keeps serving the active slot) while
-  /// the publisher fault hook is wedged — the heartbeat watchdog, not
-  /// publish(), decides when that becomes a failsafe event.
-  void publish();
-
-  // -- Publisher heartbeat + A/B failsafe -----------------------------------
-  /// Fault-injection hook: while it returns true the snapshot publisher
-  /// is wedged — publish()/heartbeat() build nothing and the active A/B
-  /// slot keeps serving. Control thread only.
+  void sync() { publisher_.sync(); }
+  /// Publishes pending rule events unless the publisher is wedged. Safe
+  /// while workers run — that is the point.
+  void publish() { publisher_.publish(); }
+  /// While `fault` returns true the publisher is wedged.
   void set_publish_fault(std::function<bool()> fault) {
-    publish_fault_ = std::move(fault);
+    watchdog_.set_fault(std::move(fault));
   }
-  /// One publisher heartbeat (control thread, once per control tick).
-  /// Pending rule events are published (built into the inactive A/B
-  /// slot, then flipped) unless the publisher is wedged; a publisher
-  /// that stays wedged for `deadline_ticks` consecutive heartbeats
-  /// trips the watchdog: the abandoned inactive slot is dropped, the
-  /// last-good active slot is re-asserted as the served snapshot, and
-  /// failsafe_events is bumped (edge-triggered, loud). Recovery is
-  /// automatic — the first un-wedged heartbeat with pending events
-  /// publishes and clears the failsafe. Returns in_failsafe().
-  bool heartbeat(std::uint64_t deadline_ticks = 3);
-  /// True while the watchdog is serving the last-good slot because the
-  /// publisher missed its heartbeat deadline with events pending.
-  [[nodiscard]] bool in_failsafe() const {
-    // veridp-lint: allow(relaxed-atomic, advisory status poll; no data guarded by it)
-    return in_failsafe_.load(std::memory_order_relaxed);
+  /// One publisher heartbeat, once per control tick: fails over to the
+  /// last-good snapshot after `deadline_ticks` wedged heartbeats with
+  /// events pending, and publishes (lifting the failsafe) once the wedge
+  /// clears (SnapshotPublisher::heartbeat). Returns in_failsafe().
+  bool heartbeat(std::uint64_t deadline_ticks = 3) {
+    return publisher_.heartbeat(deadline_ticks);
   }
+  [[nodiscard]] bool in_failsafe() const { return watchdog_.in_failsafe(); }
   [[nodiscard]] std::uint64_t failsafe_events() const {
-    // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
-    return failsafe_events_.load(std::memory_order_relaxed);
+    return watchdog_.failsafe_events();
   }
 
   /// Hands admission over to a control loop, exactly as
@@ -256,13 +237,14 @@ class ParallelServer {
   [[nodiscard]] LocalizeResult localize(const TagReport& report) const;
 
   [[nodiscard]] std::shared_ptr<const EpochSnapshot> snapshot() const {
-    return snap_.load(std::memory_order_acquire);
+    return publisher_.snapshot();
   }
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  [[nodiscard]] bool epoch_checking() const { return epoch_checking_; }
+  [[nodiscard]] std::uint32_t epoch() const { return publisher_.epoch(); }
+  [[nodiscard]] bool epoch_checking() const {
+    return publisher_.epoch_checking();
+  }
   [[nodiscard]] std::uint64_t snapshots_published() const {
-    // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
-    return published_.load(std::memory_order_relaxed);
+    return publisher_.published();
   }
   /// Total undispatched reports across all lanes.
   [[nodiscard]] std::size_t queue_depth() const;
@@ -304,11 +286,9 @@ class ParallelServer {
   struct alignas(64) Lane {
     Lane(std::size_t capacity, std::size_t dedup_window)
         : seqs(dedup_window), q(capacity) {}
-    // Lock class + declared order (DESIGN.md §12): lane admission is
-    // the outermost ingest lock — it may be held while touching the
-    // lane's queue or the quarantine buffer, never the reverse.
-    // ACQUIRED_BEFORE("BoundedMpmcQueue::mu")
-    // ACQUIRED_BEFORE("ParallelServer::quarantine_mu")
+    // Lock class (DESIGN.md §12). No other named lock is taken under
+    // it: submit() releases it before the queue push or the quarantine
+    // append, so it declares no order.
     mutable Mutex mu{"ParallelServer::Lane::mu"};
     SeqTrackers seqs GUARDED_BY(mu);
     std::uint64_t received GUARDED_BY(mu) = 0;
@@ -318,11 +298,6 @@ class ParallelServer {
     BoundedMpmcQueue<TagReport> q;
   };
 
-  void on_rule_event(const RuleEvent& ev);
-  void rebuild_snapshot();
-  [[nodiscard]] bool publisher_wedged() const {
-    return publish_fault_ && publish_fault_();
-  }
   Lane& lane_for(SwitchId sw) {
     const std::size_t shard = static_cast<std::size_t>(sw) % shards_;
     return *lanes_[shard % lanes_.size()];
@@ -351,32 +326,10 @@ class ParallelServer {
   /// Per-lane admission: the global capacity and watermark split evenly
   /// across lanes; one regime command governs every lane.
   AdmissionControl admission_;
-
-  // Control-plane state (single control thread).
-  bool synced_ = false;
-  bool dirty_ = false;
-  bool epoch_checking_ = false;
-  std::size_t ring_capacity_ = 8;
-  std::uint32_t grace_window_ = 64;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t dirty_from_ = 0;  ///< epoch of the first event since clean
-
-  // Published state (read lock-free by workers).
-  std::atomic<std::shared_ptr<const EpochSnapshot>> snap_;
-  std::atomic<std::uint64_t> published_{0};
-
-  // A/B publication slots (control thread only; `snap_` is the reader-
-  // visible pointer). The publisher builds into the inactive slot and
-  // flips by storing it to snap_; the active slot pins the last
-  // successfully published snapshot so the watchdog always has a
-  // known-good unit to fail over to, whatever state a wedged build
-  // left the other slot in.
-  std::shared_ptr<const EpochSnapshot> slots_[2];
-  unsigned active_slot_ = 0;
-  std::function<bool()> publish_fault_;
-  std::uint64_t missed_heartbeats_ = 0;
-  std::atomic<bool> in_failsafe_{false};
-  std::atomic<std::uint64_t> failsafe_events_{0};
+  PublishWatchdog watchdog_;  ///< see set_publish_fault
+  /// Rule events → published snapshots, each built in a fresh arena
+  /// because workers read while the next one builds.
+  SnapshotPublisher publisher_;
 
   // Data-plane pipeline.
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -386,12 +339,9 @@ class ParallelServer {
   std::thread failure_consumer_;
   ScalProfiler prof_;
 
-  // Localization-stage output + quarantine (cold paths, mutex-guarded).
-  // Declared order: if both buffers are ever locked together, failures
-  // first — the ACQUIRED_BEFORE attribute makes the hierarchy visible
-  // to clang's beta analysis and to tools/lock_order_extract.py.
-  mutable Mutex failures_mu_ ACQUIRED_BEFORE(quarantine_mu_){
-      "ParallelServer::failures_mu"};
+  // Localization-stage output + quarantine (cold paths, mutex-guarded;
+  // never held together).
+  mutable Mutex failures_mu_{"ParallelServer::failures_mu"};
   std::deque<TagReport> failures_ GUARDED_BY(failures_mu_);
   mutable Mutex quarantine_mu_{"ParallelServer::quarantine_mu"};
   std::deque<std::vector<std::uint8_t>> quarantine_

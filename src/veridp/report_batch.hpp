@@ -33,8 +33,9 @@ namespace veridp {
 
 // veridp-lint: hot-path
 
-/// Batch size used when a config leaves `batch_size` at 0: a fixed
-/// default, not calibrated at run time. Chosen from bench_batch_kernels'
+/// Lanes per batched verify call on the sequential ingest and in
+/// verify_stream: a fixed default, not calibrated at run time. Chosen
+/// from bench_batch_kernels'
 /// batch-size sweep: throughput rises steeply up to ~64 lanes (the
 /// lockstep eval fan-out saturates), is flat within noise from 128 to
 /// 512, and larger batches only add latency before the first verdict —
@@ -42,13 +43,6 @@ namespace veridp {
 /// latency.
 [[nodiscard]] inline constexpr std::size_t autotuned_batch_size() {
   return 256;
-}
-
-/// Resolves a configured batch size: 0 means the fixed default (256),
-/// 1 means the scalar (pre-batching) path, anything else is taken
-/// verbatim.
-[[nodiscard]] inline std::size_t resolve_batch_size(std::size_t configured) {
-  return configured == 0 ? autotuned_batch_size() : configured;
 }
 
 struct ReportBatch {

@@ -10,123 +10,116 @@ Server::Server(Controller& controller, Mode mode, int tag_bits,
       mode_(mode),
       tag_bits_(tag_bits),
       space_(std::move(space)) {
-  controller_->subscribe(
-      [this](const RuleEvent& ev) { on_rule_event(ev); });
+  if (mode_ == Mode::kFullRebuild)
+    publisher_ = std::make_unique<SnapshotPublisher>(controller, tag_bits_,
+                                                     space_, watchdog_);
+  else
+    controller_->subscribe(
+        [this](const RuleEvent& ev) { on_rule_event(ev); });
 }
 
 void Server::enable_epoch_checking(std::size_t snapshot_ring,
                                    std::uint32_t grace_window) {
   epoch_checking_ = true;
-  ring_capacity_ = snapshot_ring;
   grace_window_ = grace_window;
+  if (publisher_)
+    publisher_->enable_epoch_checking(snapshot_ring, grace_window);
 }
 
+// kIncremental only: kFullRebuild's events go to the publisher.
 void Server::on_rule_event(const RuleEvent& ev) {
   epoch_ = controller_->epoch();  // events arrive post-bump
-  if (!synced_) return;  // events before the first sync are folded into it
-  if (mode_ == Mode::kIncremental) {
-    if (publisher_wedged() || !deferred_.empty()) {
-      // Publisher wedged (or still holding a backlog): defer the event
-      // instead of mutating the table — the last-good table keeps
-      // serving, and ensure_fresh replays the backlog in order once the
-      // wedge clears.
-      if (deferred_.empty()) dirty_from_ = epoch_;
-      deferred_.push_back(ev);
-      dirty_ = true;
-      return;
-    }
-    updater_->apply(ev);
-    table_valid_from_ = epoch_;
-    memo_.clear();  // table mutated in place: cached verdicts are void
-  } else {
-    if (!dirty_) {
-      dirty_ = true;  // lazy rebuild before the next lookup
-      dirty_from_ = epoch_;
-    }
+  if (!updater_) return;  // events before the first sync are folded into it
+  if (watchdog_.wedged() || !deferred_.empty()) {
+    // Publisher wedged (or still holding a backlog): defer the event
+    // instead of mutating the table — the last-good table keeps
+    // serving, and ensure_fresh replays the backlog in order once the
+    // wedge clears.
+    if (deferred_.empty()) dirty_from_ = epoch_;
+    deferred_.push_back(ev);
+    dirty_ = true;
+    return;
   }
-}
-
-void Server::rebuild() {
-  const Topology& topo = controller_->topology();
-  if (mode_ == Mode::kIncremental) {
-    updater_ = std::make_unique<IncrementalUpdater>(space_, topo, tag_bits_);
-    updater_->initialize(controller_->logical_configs());
-  } else {
-    ConfigTransferProvider provider(space_, topo,
-                                    controller_->logical_configs());
-    PathTableBuilder builder(space_, topo, provider, tag_bits_);
-    auto next = std::make_shared<EpochSnapshot>();
-    next->epoch = next->table_valid_from = next->table_valid_to = epoch_;
-    next->current = std::make_shared<const PathTable>(builder.build());
-    // The superseded table joins the ring exactly as in ParallelServer.
-    if (epoch_checking_ && snap_)
-      next->inherit_ring(*snap_, dirty_ ? dirty_from_ : epoch_,
-                         ring_capacity_);
-    snap_ = std::move(next);
-  }
+  updater_->apply(ev);
   table_valid_from_ = epoch_;
-  dirty_ = false;
-  memo_.clear();
+  memo_.clear();  // table mutated in place: cached verdicts are void
 }
 
 void Server::sync() {
+  if (publisher_) {
+    publisher_->sync();
+    ensure_fresh();  // serves the new snapshot
+    return;
+  }
   epoch_ = controller_->epoch();
-  rebuild();
-  synced_ = true;
+  updater_ = std::make_unique<IncrementalUpdater>(space_,
+                                                  controller_->topology(),
+                                                  tag_bits_);
+  updater_->initialize(controller_->logical_configs());
+  // The rebuilt table holds every event, the deferred ones included.
+  deferred_.clear();
+  table_valid_from_ = epoch_;
+  dirty_ = false;
+  watchdog_.clear();
+  memo_.clear();
 }
 
 void Server::ensure_fresh() {
-  if (!synced_) sync();
-  if (!dirty_) return;
-  if (publisher_wedged()) {
-    // Failsafe: keep serving the last-good table. epoch_tables() caps
-    // table_valid_to at the last pre-event epoch, so the ahead-of-table
-    // rule turns would-be false positives into kStaleEpoch.
-    if (!in_failsafe_) {
-      in_failsafe_ = true;
-      ++failsafe_events_;
+  if (publisher_) {
+    // Each lookup is a heartbeat with a deadline of one: a wedged
+    // publisher with events pending enters failsafe at once.
+    publisher_->heartbeat(1);
+    if (publisher_->active() != held_) {
+      held_ = publisher_->active();
+      memo_.clear();
     }
     return;
   }
-  if (mode_ == Mode::kIncremental) {
-    // Recovery: replay the backlog deferred while wedged, in order.
-    updater_->apply_batch(deferred_);
-    deferred_.clear();
-    table_valid_from_ = epoch_;
-    memo_.clear();
-    dirty_ = false;
-  } else {
-    rebuild();
+  if (!updater_) sync();
+  if (!dirty_) return;
+  if (watchdog_.wedged()) {
+    // Failsafe: keep serving the last-good table. epoch_tables() caps
+    // table_valid_to at the last pre-event epoch, so the ahead-of-table
+    // rule turns would-be false positives into kStaleEpoch.
+    watchdog_.miss(1);
+    return;
   }
-  in_failsafe_ = false;
-}
-
-const PathTable& Server::current_table() const {
-  return mode_ == Mode::kIncremental ? updater_->table() : *snap_->current;
+  // Recovery: replay the backlog deferred while wedged, in order.
+  updater_->apply_batch(deferred_);
+  deferred_.clear();
+  table_valid_from_ = epoch_;
+  memo_.clear();
+  dirty_ = false;
+  watchdog_.clear();
 }
 
 const PathTable& Server::table() {
   ensure_fresh();
-  return current_table();
+  return publisher_ ? *held_->current : updater_->table();
 }
 
 PathTableStats Server::stats() { return table().stats(); }
 
 EpochTables Server::epoch_tables() const {
-  // The snapshot supplies the tables; the epoch fields come from the
-  // server, whose epoch moves past the snapshot's while it is dirty.
+  // The tables come from the served snapshot (kFullRebuild) or the
+  // in-place table; the epoch fields from the live event tracking,
+  // whose epoch moves past the table's while events are pending.
   EpochTables t;
-  if (mode_ == Mode::kFullRebuild)
-    t = snap_->view();
-  else
+  if (publisher_) {
+    t = held_->view();
+    t.epoch = publisher_->epoch();
+    // Dirty (only possible here when the publisher is wedged — verify()
+    // runs ensure_fresh first): the current table definitively covers
+    // only epochs before the first pending event.
+    t.table_valid_to =
+        publisher_->dirty() ? publisher_->dirty_from() - 1 : t.epoch;
+  } else {
     t.current = &updater_->table();
+    t.epoch = epoch_;
+    t.table_valid_from = table_valid_from_;
+    t.table_valid_to = dirty_ ? dirty_from_ - 1 : epoch_;
+  }
   t.epoch_checking = epoch_checking_;
-  t.epoch = epoch_;
-  t.table_valid_from = table_valid_from_;
-  // Dirty (only possible here when the publisher is wedged — verify()
-  // runs ensure_fresh first): the current table definitively covers only
-  // epochs before the first pending event.
-  t.table_valid_to = dirty_ ? dirty_from_ - 1 : epoch_;
   t.grace_window = grace_window_;
   return t;
 }

@@ -9,20 +9,21 @@
 //    branches) via IncrementalUpdater.
 //  * kFullRebuild — arbitrary rules/ACLs; the table is rebuilt from the
 //    controller's logical configs on demand (rebuilds are batched: the
-//    table is marked dirty and rebuilt lazily before the next lookup).
+//    table is marked dirty and rebuilt lazily before the next lookup) by
+//    the same SnapshotPublisher that feeds ParallelServer, building in
+//    this server's shared arena.
 //
 // Epoch-aware verification (opt-in via enable_epoch_checking): every rule
 // event advances the config epoch; reports carry the epoch they were
 // sampled under. A report stamped with a past epoch is checked against
-// the path table that was current *then* — kFullRebuild keeps its table
-// in an EpochSnapshot whose ring of superseded tables is built exactly
-// as ParallelServer builds its published one (EpochSnapshot::
-// inherit_ring); kIncremental (whose table mutates in place) applies a
-// grace-window rule instead: a recent-epoch report that fails against
-// the current table is classified kStaleEpoch, not failed. Either way,
-// in-flight reports straddling a rule update can never produce false
-// positives. The ring also keeps Verdict::matched pointers valid across
-// lazy rebuilds until a snapshot ages out.
+// the path table that was current *then* — kFullRebuild serves the
+// publisher's EpochSnapshot and its ring of superseded tables, as
+// ParallelServer does; kIncremental (whose table mutates in place)
+// applies a grace-window rule instead: a recent-epoch report that fails
+// against the current table is classified kStaleEpoch, not failed.
+// Either way, in-flight reports straddling a rule update can never
+// produce false positives. The ring also keeps Verdict::matched pointers
+// valid across lazy rebuilds until a snapshot ages out.
 #pragma once
 
 #include <functional>
@@ -32,6 +33,7 @@
 #include "controller/controller.hpp"
 #include "veridp/incremental.hpp"
 #include "veridp/localizer.hpp"
+#include "veridp/publisher.hpp"
 #include "veridp/verifier.hpp"
 
 namespace veridp {
@@ -89,13 +91,18 @@ class Server {
   [[nodiscard]] bool epoch_checking() const { return epoch_checking_; }
 
   /// The config epoch the server has observed (mirrors the controller).
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
+  [[nodiscard]] std::uint32_t epoch() const {
+    return publisher_ ? publisher_->epoch() : epoch_;
+  }
   /// Epoch the current table was built at; reports stamped >= this are
   /// verified against the current table.
-  [[nodiscard]] std::uint32_t table_epoch() const { return table_valid_from_; }
+  [[nodiscard]] std::uint32_t table_epoch() const {
+    if (!publisher_) return table_valid_from_;
+    return held_ ? held_->table_valid_from : 0;
+  }
   /// Number of retained snapshots (kFullRebuild + epoch checking only).
   [[nodiscard]] std::size_t snapshots() const {
-    return snap_ ? snap_->ranges.size() : 0;
+    return held_ ? held_->ranges.size() : 0;
   }
 
   // Health counters. Every verify() lands in exactly one of passed /
@@ -112,30 +119,25 @@ class Server {
 
   /// Fault-injection hook for the table publisher: while it returns
   /// true, rebuilds (kFullRebuild) / event application (kIncremental)
-  /// are wedged. The server then serves the last-good table in failsafe
-  /// mode — verification degrades to the ahead-of-table rule (a pass is
-  /// conclusive, a mismatch is kStaleEpoch, never a false positive) —
-  /// and recovers automatically once the hook clears: kFullRebuild
-  /// rebuilds, kIncremental replays the deferred events in order.
+  /// are wedged. Every lookup is a heartbeat with a deadline of one
+  /// (publisher.hpp): the first lookup behind pending events enters
+  /// failsafe and the last-good table serves. Once the hook clears,
+  /// kFullRebuild rebuilds and kIncremental replays the deferred events
+  /// in order; sync() rebuilds wedged or not.
   void set_publish_fault(std::function<bool()> fault) {
-    publish_fault_ = std::move(fault);
+    watchdog_.set_fault(std::move(fault));
   }
   /// True while serving the last-good table because the publisher is
   /// wedged behind pending rule events.
-  [[nodiscard]] bool in_failsafe() const { return in_failsafe_; }
+  [[nodiscard]] bool in_failsafe() const { return watchdog_.in_failsafe(); }
   /// Edge-triggered count of failsafe engagements (loud by design).
   [[nodiscard]] std::uint64_t failsafe_events() const {
-    return failsafe_events_;
+    return watchdog_.failsafe_events();
   }
 
  private:
   void on_rule_event(const RuleEvent& ev);
-  void rebuild();
   void ensure_fresh();
-  [[nodiscard]] bool publisher_wedged() const {
-    return publish_fault_ && publish_fault_();
-  }
-  [[nodiscard]] const PathTable& current_table() const;
   /// View of the epoch → table state consumed by verify_epoch_aware
   /// (the classification shared with ParallelServer). Requires
   /// ensure_fresh() to have run.
@@ -145,29 +147,28 @@ class Server {
   Mode mode_;
   int tag_bits_;
   HeaderSpace space_;
-  /// kFullRebuild mode storage: the current table (built in space_) and
-  /// the ring of superseded ones.
-  std::shared_ptr<const EpochSnapshot> snap_;
+
+  PublishWatchdog watchdog_;  ///< see set_publish_fault
+  /// kFullRebuild: the publisher (building in space_) and the snapshot
+  /// it serves, which memo_ was filled against. Only this server makes
+  /// the publisher build, and it refreshes held_ each time.
+  std::unique_ptr<SnapshotPublisher> publisher_;
+  std::shared_ptr<const EpochSnapshot> held_;
+
+  // kIncremental: the in-place table and its event tracking.
   std::unique_ptr<IncrementalUpdater> updater_;
-  bool synced_ = false;
+  std::vector<RuleEvent> deferred_;  ///< events queued while wedged
   bool dirty_ = false;
-
-  // Failsafe state (see set_publish_fault).
-  std::function<bool()> publish_fault_;
-  bool in_failsafe_ = false;
-  std::uint64_t failsafe_events_ = 0;
-  std::vector<RuleEvent> deferred_;  ///< kIncremental events queued while wedged
-
-  // Epoch state.
-  bool epoch_checking_ = false;
-  std::size_t ring_capacity_ = 8;
-  std::uint32_t grace_window_ = 64;
   std::uint32_t epoch_ = 0;
   std::uint32_t table_valid_from_ = 0;
   std::uint32_t dirty_from_ = 0;  ///< epoch of the first event since clean
+
+  bool epoch_checking_ = false;
+  std::uint32_t grace_window_ = 64;
   /// Duplicate-report fast path. Valid only for the current epoch state:
-  /// cleared on every rebuild AND on every in-place incremental update
-  /// (kIncremental mutates the table without a rebuild).
+  /// cleared whenever a new snapshot serves AND on every in-place
+  /// incremental update (kIncremental mutates the table without a
+  /// rebuild).
   VerifyMemo memo_;
 
   VerdictTotals totals_;  ///< health counters

@@ -127,9 +127,9 @@ struct EpochTables {
 };
 
 /// One immutable unit of epoch → table state: the current table, the
-/// retired ring and the epoch bookkeeping verify_epoch_aware needs. Both
-/// servers own one (ParallelServer publishes it, Server in kFullRebuild
-/// mode rebuilds it). Destroyed when the last reader drops its shared_ptr.
+/// retired ring and the epoch bookkeeping verify_epoch_aware needs,
+/// built by SnapshotPublisher for both servers. Destroyed when the last
+/// reader drops its shared_ptr.
 ///
 /// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
 /// registers a lockdep lifecycle generation at construction; the

@@ -5,12 +5,14 @@
 // counters — across every Verdict kind, every batch size, and the
 // epoch-edge fallbacks (kStaleEpoch, grace window, ahead-of-table A/B
 // failsafe). Also covers the batch kernels the pipeline rides on
-// (eval_packed_many) and the ingest-level equality of batch_size
-// settings including shed / malformed / dedup flows.
+// (eval_packed_many) and the ingest-level equality of process() chunk
+// sizes including shed / malformed / dedup flows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -294,10 +296,11 @@ TEST(BatchVerify, ServerVerifyBatchMatchesScalarServer) {
 }
 
 // Ingest-level equality: the same offer stream (valid, malformed,
-// duplicate-seq and overflow datagrams) through batch_size 1 (scalar
-// legacy), 0 (the fixed default) and a deliberately awkward 5 must
-// produce the same health ledger — passed/stale/failed AND shed/quarantined/deduped
-// — and the same retained failures.
+// duplicate-seq and overflow datagrams) processed in chunks of 5 and of
+// 64 reports per process() call (so per verify_batch call) must produce
+// the same health ledger — passed/stale/failed AND
+// shed/quarantined/deduped — and every verdict the ingest sinks must
+// equal Server::verify of the same report on a fresh server.
 TEST(BatchVerify, IngestHealthIdenticalAcrossBatchSizes) {
   Topology topo = fat_tree(4);
   Controller c(topo);
@@ -323,46 +326,57 @@ TEST(BatchVerify, IngestHealthIdenticalAcrossBatchSizes) {
     }
   }
 
-  auto run = [&](std::size_t batch_size) {
+  using Sunk = std::vector<std::pair<TagReport, Verdict>>;
+  auto run = [&](std::size_t chunk) {
     Server server(c, Server::Mode::kFullRebuild);
     server.sync();
     IngestConfig icfg;
     icfg.capacity = 64;  // small: overflow forces shedding
     icfg.high_watermark = 32;
-    icfg.batch_size = batch_size;
     ReportIngest ingest(server, icfg);
-    std::vector<VerifyStatus> sunk;
-    ingest.set_verdict_sink(
-        [&sunk](const TagReport&, const Verdict& v) {
-          sunk.push_back(v.status);
-        });
+    Sunk sunk;
+    ingest.set_verdict_sink([&sunk](const TagReport& r, const Verdict& v) {
+      sunk.emplace_back(r, v);
+    });
     for (const auto& dg : datagrams) {
       ingest.offer(dg);
-      if (ingest.health().in_queue >= 48) (void)ingest.process(16);
+      // Always 16 reports mid-stream, so the queue depths (and with
+      // them the shed decisions) do not depend on the chunk size.
+      if (ingest.health().in_queue >= 48) {
+        for (std::size_t done = 0; done < 16;)
+          done += ingest.process(std::min(chunk, 16 - done));
+      }
     }
-    while (ingest.process(64) > 0) {
+    while (ingest.process(chunk) > 0) {
     }
     return std::pair(ingest.health(), sunk);
   };
 
-  const auto [h1, s1] = run(1);
-  const auto [h0, s0] = run(0);
   const auto [h5, s5] = run(5);
+  const auto [h64, s64] = run(64);
 
-  EXPECT_GT(h1.shed, 0u) << "stream too small to trigger shedding";
-  EXPECT_GT(h1.quarantined, 0u);
-  EXPECT_GT(h1.deduped, 0u);
-  for (const IngestHealth& h : {h0, h5}) {
-    EXPECT_EQ(h.received, h1.received);
-    EXPECT_EQ(h.passed, h1.passed);
-    EXPECT_EQ(h.stale, h1.stale);
-    EXPECT_EQ(h.failed, h1.failed);
-    EXPECT_EQ(h.shed, h1.shed);
-    EXPECT_EQ(h.quarantined, h1.quarantined);
-    EXPECT_EQ(h.deduped, h1.deduped);
+  EXPECT_GT(h5.shed, 0u) << "stream too small to trigger shedding";
+  EXPECT_GT(h5.quarantined, 0u);
+  EXPECT_GT(h5.deduped, 0u);
+  EXPECT_EQ(h64.received, h5.received);
+  EXPECT_EQ(h64.passed, h5.passed);
+  EXPECT_EQ(h64.stale, h5.stale);
+  EXPECT_EQ(h64.failed, h5.failed);
+  EXPECT_EQ(h64.shed, h5.shed);
+  EXPECT_EQ(h64.quarantined, h5.quarantined);
+  EXPECT_EQ(h64.deduped, h5.deduped);
+  EXPECT_GT(h5.failed, 0u) << "the stream must carry mismatches";
+
+  Server fresh(c, Server::Mode::kFullRebuild);
+  fresh.sync();
+  for (const Sunk* sunk : {&s5, &s64}) {
+    ASSERT_EQ(sunk->size(), h5.passed + h5.stale + h5.failed);
+    for (const auto& [report, verdict] : *sunk) {
+      const Verdict v = fresh.verify(report);
+      EXPECT_EQ(verdict.status, v.status) << "seq " << report.seq;
+      EXPECT_EQ(verdict.epoch, v.epoch) << "seq " << report.seq;
+    }
   }
-  EXPECT_EQ(s0, s1);
-  EXPECT_EQ(s5, s1);
 }
 
 TEST(BatchVerify, EvalPackedManyMatchesEvalWith) {

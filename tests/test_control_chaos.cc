@@ -289,5 +289,50 @@ TEST(ControlChaos, SequentialFailsafeServesLastGoodAndRecovers) {
   }
 }
 
+// sync() is a full rebuild from the live config, wedge or not, so it
+// must leave nothing of the failsafe behind: not the flag, and in
+// kIncremental not the deferred backlog it has already folded in (a
+// later unwedged event must apply at once, not queue behind a replay of
+// events the rebuilt table already holds).
+TEST(ControlChaos, SyncUnderWedgedPublisherClearsFailsafe) {
+  for (const Server::Mode mode :
+       {Server::Mode::kFullRebuild, Server::Mode::kIncremental}) {
+    SCOPED_TRACE(mode == Server::Mode::kFullRebuild ? "kFullRebuild"
+                                                    : "kIncremental");
+    Topology topo = linear(3);
+    Controller c(topo);
+    HeaderSpace shared;  // one arena, so the tables are comparable
+    Server server(c, mode, BloomTag::kDefaultBits, shared);
+    server.enable_epoch_checking();
+    routing::install_shortest_paths(c);
+    server.sync();
+
+    bool wedged = true;
+    server.set_publish_fault([&] { return wedged; });
+    c.add_rule(1, 1000, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 2, 1), 32}),
+               Action::drop());
+    (void)server.table();
+    ASSERT_TRUE(server.in_failsafe());
+
+    server.sync();
+    EXPECT_EQ(server.table_epoch(), server.epoch());
+    EXPECT_FALSE(server.in_failsafe()) << "sync() absorbed every event";
+    EXPECT_EQ(server.failsafe_events(), 1u);
+
+    wedged = false;
+    c.add_rule(1, 1001, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 0, 1), 32}),
+               Action::drop());
+    if (mode == Server::Mode::kIncremental) {
+      EXPECT_EQ(server.table_epoch(), server.epoch())
+          << "an unwedged event applies at once, with no backlog ahead";
+    }
+    Server fresh(c, Server::Mode::kFullRebuild, BloomTag::kDefaultBits,
+                 shared);
+    fresh.sync();
+    EXPECT_TRUE(equivalent(server.table(), fresh.table()));
+    EXPECT_FALSE(server.in_failsafe());
+  }
+}
+
 }  // namespace
 }  // namespace veridp

@@ -596,6 +596,93 @@ TEST(ParallelServer, WedgedPublisherFailsOverWithoutFalsePositives) {
   EXPECT_EQ(r.passed, ahead.size());
 }
 
+// The sequential failsafe (a wedged lazy rebuild trips on the first
+// lookup) and the parallel heartbeat watchdog are one mechanism: wedged
+// alike, fed the same churn and the same reports, the two servers agree
+// on every verdict bucket, on the failsafe flag and event count, and on
+// the ring, both while wedged and after recovery — with and without
+// room in the ring.
+TEST(ParallelServer, WedgedSequentialServerMatchesTheWatchdog) {
+  struct Expected {
+    std::size_t ring;
+    VerdictTotals wedged, recovered;
+  };
+  const auto totals = [](std::uint64_t passed, std::uint64_t stale) {
+    VerdictTotals t;
+    t.verified = passed + stale;
+    t.passed = passed;
+    t.stale = stale;
+    return t;
+  };
+  for (const Expected& want :
+       {Expected{8, totals(14, 4), totals(18, 0)},
+        Expected{0, totals(12, 6), totals(8, 10)}}) {
+    SCOPED_TRACE("snapshot_ring " + std::to_string(want.ring));
+    Rig rig(linear(3));
+    Server oracle(rig.controller, Server::Mode::kFullRebuild);
+    oracle.enable_epoch_checking(want.ring, /*grace_window=*/64);
+    ParallelConfig cfg;
+    cfg.workers = 2;
+    ParallelServer parallel(rig.controller, cfg);
+    parallel.enable_epoch_checking(want.ring, /*grace_window=*/64);
+    rig.install_and_deploy();
+    oracle.sync();
+    parallel.sync();
+    bool wedged = false;
+    oracle.set_publish_fault([&] { return wedged; });
+    parallel.set_publish_fault([&] { return wedged; });
+
+    // Blackholes subnet i at its edge switch: a consistent plane.
+    const auto& subnets = rig.topo.subnets();
+    ASSERT_GE(subnets.size(), 3u);
+    auto churn = [&](std::size_t i) {
+      const auto& [dst_port, subnet] = subnets[i];
+      rig.controller.add_rule(dst_port.sw, 1000 + static_cast<std::int32_t>(i),
+                              Match::dst_prefix(subnet), Action::drop());
+      rig.controller.deploy(rig.net);
+      rig.net.set_config_epoch(rig.controller.epoch());
+    };
+    // One event both servers absorb, then two behind a wedged publisher;
+    // a round of reports is sampled under each config.
+    std::vector<TagReport> reports = rig.collect_reports();
+    churn(0);
+    (void)oracle.table();
+    parallel.publish();
+    std::vector<TagReport> more = rig.collect_reports(/*t=*/1.0);
+    reports.insert(reports.end(), more.begin(), more.end());
+    wedged = true;
+    churn(1);
+    churn(2);
+    more = rig.collect_reports(/*t=*/2.0);
+    reports.insert(reports.end(), more.begin(), more.end());
+    ASSERT_EQ(reports.size(), 18u);
+
+    EXPECT_TRUE(parallel.heartbeat(/*deadline_ticks=*/1));
+    auto agree = [&](const VerdictTotals& expected) {
+      const VerdictTotals seq = run_oracle(oracle, reports);
+      const VerdictTotals par = parallel.verify_stream(reports, 2);
+      EXPECT_EQ(seq.verified, par.verified);
+      EXPECT_EQ(seq.passed, par.passed);
+      EXPECT_EQ(seq.failed, par.failed);
+      EXPECT_EQ(seq.stale, par.stale);
+      EXPECT_EQ(seq.passed, expected.passed);
+      EXPECT_EQ(seq.failed, 0u);
+      EXPECT_EQ(seq.stale, expected.stale);
+      EXPECT_EQ(oracle.in_failsafe(), parallel.in_failsafe());
+      EXPECT_EQ(oracle.failsafe_events(), parallel.failsafe_events());
+      EXPECT_EQ(oracle.failsafe_events(), 1u);
+      EXPECT_EQ(oracle.snapshots(), parallel.snapshot()->ranges.size());
+    };
+    agree(want.wedged);
+    EXPECT_TRUE(oracle.in_failsafe());
+
+    wedged = false;
+    EXPECT_FALSE(parallel.heartbeat(1));
+    agree(want.recovered);
+    EXPECT_FALSE(oracle.in_failsafe());
+  }
+}
+
 // Commanded admission regimes on the parallel ingest: kHard admits
 // nothing, kSoft keeps the deterministic sample, kNormal restores
 // verify-all — with the conservation law holding at quiescence and the

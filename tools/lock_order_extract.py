@@ -18,8 +18,8 @@ Declared hierarchy, parsed from src/:
      named declaration in the same file.
   3. Comment form, for cross-class edges clang's attribute scoping
      cannot express (the argument is another class's registered name):
-         // ACQUIRED_BEFORE("BoundedMpmcQueue::mu")
-         mutable Mutex mu{"ParallelServer::Lane::mu"};
+         // ACQUIRED_BEFORE("Queue::mu")
+         mutable Mutex mu{"Lane::mu"};
      The comment binds to the next named-lock declaration below it.
      ACQUIRED_AFTER forms reverse the edge direction in both shapes.
 
@@ -34,8 +34,10 @@ Checks:
                   observed edge is contained in the transitive closure
                   of the declared DAG. An observed edge that inverts a
                   declared path is an inversion; one the declaration
-                  never covered is undeclared. Either fails (exit 1) —
-                  the declarations are a contract, not a suggestion.
+                  never covered is undeclared. A declared edge the run
+                  never observed is unexercised: the declaration claims
+                  a nesting no test shows. Each fails (exit 1) — the
+                  declarations are a contract, not a suggestion.
                   Classes whose name starts with an --ignore-prefix
                   (default "test.") are dropped first: tests register
                   scratch classes to provoke the checker on purpose.
@@ -284,11 +286,21 @@ def main(argv):
             kind = "blocking" if e.get("blocking") else "try-only"
             print(f"lock_order_extract: observed edge \"{src}\" -> "
                   f"\"{dst}\" (count {e['count']}, {kind}): {why}")
+        unobserved = [(a, b, where) for (a, b), where in sorted(edges.items())
+                      if (a, b) not in observed]
+        for a, b, where in unobserved:
+            print(f"lock_order_extract: declared edge \"{a}\" -> \"{b}\" "
+                  f"[{where}] was declared but never observed")
         if bad:
             print(f"lock_order_extract: {len(bad)} observed edge(s) "
                   "violate the declared hierarchy — either fix the "
                   "nesting or extend the ACQUIRED_BEFORE declarations",
                   file=sys.stderr)
+        if unobserved:
+            print(f"lock_order_extract: {len(unobserved)} declared "
+                  "edge(s) never observed — either exercise the nesting "
+                  "in a test or delete the declaration", file=sys.stderr)
+        if bad or unobserved:
             return 1
         print(f"lock_order_extract: observed graph consistent with the "
               f"declared hierarchy ({len(observed)} edge(s) checked)")
