@@ -1,21 +1,17 @@
-// Lockdep runtime: lock-class registry, per-thread held stacks, the
-// global order graph with online cycle detection, the JSON dump, and
-// the snapshot-lifecycle generation registry. See lockdep.hpp for the
+// Lockdep runtime: the per-thread named-lock slot and the
+// snapshot-lifecycle generation registry. See lockdep.hpp for the
 // model and DESIGN.md §12 for the workflow.
 //
 // Implementation notes:
-//  * The internals synchronize on a raw std::mutex, NOT veridp::Mutex —
-//    instrumenting the instrument would recurse. The raw-lock /
-//    relaxed-atomic lint rules exempt this file for the same reason.
-//  * Cycle detection is a DFS over at most kMaxClasses (256) nodes on
-//    every FIRST sighting of an edge; repeat sightings only bump a
-//    counter under the graph mutex. The graph is tiny (a handful of
-//    classes, fewer edges), so the checked-build overhead is one map
-//    probe per acquisition with >1 lock held.
-//  * Acquisition stacks are captured with glibc backtrace() at first
-//    edge sighting and replayed with backtrace_symbols_fd() inside the
-//    abort handler — symbols_fd is async-signal-safe-ish (no malloc),
-//    which matters because we are about to abort() anyway.
+//  * The snapshot registry synchronizes on a raw std::mutex, NOT
+//    veridp::Mutex — instrumenting the instrument would recurse. The
+//    raw-lock / relaxed-atomic lint rules exempt this file for the
+//    same reason.
+//  * The lock slot is thread_local and touched only by its own thread,
+//    so the lock half takes no lock at all.
+//  * Stacks are captured with glibc backtrace() and printed with
+//    backtrace_symbols_fd() inside the abort path — symbols_fd does
+//    not malloc, which matters because we are about to abort() anyway.
 #include "common/lockdep.hpp"
 
 #ifdef VERIDP_LOCKDEP
@@ -25,294 +21,60 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <iterator>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace veridp {
 namespace lockdep {
 namespace {
 
-constexpr std::size_t kMaxClasses = 256;
 constexpr int kStackDepth = 24;
 
-struct Backtrace {
+[[noreturn]] void die_with_stack(const char* label) {
   void* frames[kStackDepth];
-  int depth = 0;
+  const int depth = ::backtrace(frames, kStackDepth);
+  ::fprintf(stderr, "%s\n", label);
+  ::fflush(stderr);
+  if (depth > 0) ::backtrace_symbols_fd(frames, depth, STDERR_FILENO);
+  ::abort();
+}
 
-  void capture() { depth = ::backtrace(frames, kStackDepth); }
-  void print(const char* label) const {
-    ::fprintf(stderr, "%s\n", label);
-    ::fflush(stderr);
-    if (depth > 0) ::backtrace_symbols_fd(frames, depth, STDERR_FILENO);
-  }
-};
-
-/// One directed lock-class order edge src -> dst: "a lock of class src
-/// was held while a lock of class dst was acquired".
-struct Edge {
-  std::uint64_t count = 0;
-  bool via_blocking = false;  ///< dst acquisition could block
-  bool via_trylock = false;   ///< dst acquisition was a try_lock
-  bool src_shared = false;    ///< src was held in shared mode
-  bool dst_shared = false;    ///< dst was acquired in shared mode
-  Backtrace first_seen;       ///< stack at the first sighting
-};
-
+/// The one named lock this thread holds (lock == nullptr: none).
 struct Held {
-  std::uint16_t cls;
-  Mode mode;
-  bool trylock;
+  const void* lock = nullptr;
+  const char* name = nullptr;
 };
 
-struct Registry {
-  std::mutex mu;
-  std::vector<std::string> names;                     // class id -> name
-  std::unordered_map<std::string, std::uint16_t> ids; // name -> class id
-  // Edge key packs (src, dst) into disjoint 16-bit lanes.
-  std::unordered_map<std::uint32_t, Edge> edges;
-  bool atexit_registered = false;
-};
-
-Registry& reg() {
-  static Registry* r = new Registry();  // leaked: outlives static dtors
-  return *r;
-}
-
-std::vector<Held>& held_stack() {
-  thread_local std::vector<Held> stack;
-  return stack;
-}
-
-constexpr std::uint32_t edge_key(std::uint16_t src, std::uint16_t dst) {
-  return (static_cast<std::uint32_t>(src) << 16) |
-         static_cast<std::uint32_t>(dst);
-}
-
-/// DFS over blocking edges: true iff `to` is reachable from `from`.
-/// Caller holds reg().mu.
-bool reachable_blocking(const Registry& r, std::uint16_t from,
-                        std::uint16_t to) {
-  bool visited[kMaxClasses] = {};
-  std::vector<std::uint16_t> work{from};
-  while (!work.empty()) {
-    const std::uint16_t cur = work.back();
-    work.pop_back();
-    if (cur == to) return true;
-    if (cur >= kMaxClasses || visited[cur]) continue;
-    visited[cur] = true;
-    for (const auto& [key, e] : r.edges) {
-      if (!e.via_blocking) continue;  // try-only edges cannot wedge
-      if (static_cast<std::uint16_t>(key >> 16) == cur)
-        work.push_back(static_cast<std::uint16_t>(key & 0xffff));
-    }
-  }
-  return false;
-}
-
-[[noreturn]] void die_inversion(Registry& r, std::uint16_t held_cls,
-                                std::uint16_t new_cls, Mode mode) {
-  // The conflicting constraint runs the other way: some path
-  // new_cls =...=> held_cls already exists. Print the direct reverse
-  // edge's stack when there is one (the common ABBA shape), else the
-  // first blocking edge out of new_cls on the cycle.
-  const char* held_name = r.names[held_cls].c_str();
-  const char* new_name = r.names[new_cls].c_str();
-  ::fprintf(stderr,
-            "lockdep: lock-order inversion (potential deadlock)\n"
-            "  acquiring class \"%s\"%s while holding class \"%s\",\n"
-            "  but the opposite order \"%s\" -> \"%s\" was already "
-            "observed.\n",
-            new_name, mode == Mode::kShared ? " (shared)" : "", held_name,
-            new_name, held_name);
-  auto rev = r.edges.find(edge_key(new_cls, held_cls));
-  if (rev == r.edges.end()) {
-    for (auto it = r.edges.begin(); it != r.edges.end(); ++it) {
-      if (static_cast<std::uint16_t>(it->first >> 16) == new_cls &&
-          it->second.via_blocking &&
-          reachable_blocking(r, static_cast<std::uint16_t>(it->first &
-                                                           0xffff),
-                             held_cls)) {
-        rev = it;
-        break;
-      }
-    }
-  }
-  Backtrace now;
-  now.capture();
-  now.print("lockdep: current acquisition stack:");
-  if (rev != r.edges.end())
-    rev->second.first_seen.print(
-        "lockdep: conflicting-order acquisition stack (first sighting):");
-  ::fflush(stderr);
-  ::abort();
-}
-
-[[noreturn]] void die_recursion(Registry& r, std::uint16_t cls) {
-  ::fprintf(stderr,
-            "lockdep: recursive acquisition of lock class \"%s\" "
-            "(same-class nesting deadlocks when two threads interleave "
-            "two instances in opposite orders)\n",
-            r.names[cls].c_str());
-  Backtrace now;
-  now.capture();
-  now.print("lockdep: current acquisition stack:");
-  ::fflush(stderr);
-  ::abort();
-}
-
-void dump_json_locked(const Registry& r, std::FILE* f) {
-  ::fprintf(f, "{\n  \"classes\": [");
-  for (std::size_t i = 0; i < r.names.size(); ++i)
-    ::fprintf(f, "%s\"%s\"", i ? ", " : "", r.names[i].c_str());
-  ::fprintf(f, "],\n  \"edges\": [\n");
-  bool first = true;
-  for (const auto& [key, e] : r.edges) {
-    const std::uint16_t src = static_cast<std::uint16_t>(key >> 16);
-    const std::uint16_t dst = static_cast<std::uint16_t>(key & 0xffff);
-    ::fprintf(f,
-              "%s    {\"src\": \"%s\", \"dst\": \"%s\", \"count\": %llu, "
-              "\"blocking\": %s, \"trylock\": %s, \"src_shared\": %s, "
-              "\"dst_shared\": %s}",
-              first ? "" : ",\n", r.names[src].c_str(),
-              r.names[dst].c_str(),
-              static_cast<unsigned long long>(e.count),
-              e.via_blocking ? "true" : "false",
-              e.via_trylock ? "true" : "false",
-              e.src_shared ? "true" : "false",
-              e.dst_shared ? "true" : "false");
-    first = false;
-  }
-  ::fprintf(f, "\n  ]\n}\n");
-}
-
-void dump_at_exit() {
-  // atexit context: every worker has been joined (or the process is
-  // tearing down anyway) and nothing concurrently mutates the
-  // environment — the one place a getenv read is safe by construction.
-  const char* dir = ::getenv("VERIDP_LOCKDEP_DUMP_DIR");  // NOLINT(concurrency-mt-unsafe)
-  if (!dir) return;
-  char path[4096];
-  ::snprintf(path, sizeof(path), "%s/lockdep.%ld.json", dir,
-             static_cast<long>(::getpid()));
-  (void)dump_json(path);
-}
-
-/// Records held -> cls for every lock currently held by this thread.
-/// `blocking` is the dst acquisition's ability to block. Returns the
-/// id of a held class whose FIRST-sighted edge must now be
-/// cycle-checked, or kNoClass when every edge was already known (a
-/// known edge was checked when first recorded — the graph only grows,
-/// so it cannot have become cyclic since).
-void record_edges(Registry& r, std::uint16_t cls, Mode mode,
-                  bool blocking) {
-  for (const Held& h : held_stack()) {
-    if (h.cls == cls) continue;  // same-class handled by the caller
-    Edge& e = r.edges[edge_key(h.cls, cls)];
-    if (e.count == 0) e.first_seen.capture();
-    ++e.count;
-    e.via_blocking = e.via_blocking || blocking;
-    e.via_trylock = e.via_trylock || !blocking;
-    e.src_shared = e.src_shared || h.mode == Mode::kShared;
-    e.dst_shared = e.dst_shared || mode == Mode::kShared;
-  }
-}
+thread_local Held held;
 
 }  // namespace
 
-std::uint16_t register_class(const char* name) {
-  if (!name || !*name) return kNoClass;
-  Registry& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  auto [it, inserted] = r.ids.try_emplace(
-      name, static_cast<std::uint16_t>(r.names.size()));
-  if (inserted) {
-    if (r.names.size() >= kMaxClasses) {
-      r.ids.erase(it);
-      ::fprintf(stderr,
-                "lockdep: class registry overflow (>%zu construction-site "
-                "names); \"%s\" is untracked\n",
-                kMaxClasses, name);
-      return kNoClass;
-    }
-    r.names.emplace_back(name);
-    if (!r.atexit_registered) {
-      r.atexit_registered = true;
-      ::atexit(dump_at_exit);
-    }
-  }
-  return it->second;
+void pre_acquire(const char* name) {
+  if (!name || !held.lock) return;
+  ::fprintf(stderr,
+            "lockdep: thread holds named lock \"%s\" while acquiring "
+            "named lock \"%s\" (a thread may hold at most one named "
+            "lock; nesting two is the shape every lock-order deadlock "
+            "needs)\n",
+            held.name, name);
+  die_with_stack("lockdep: current acquisition stack:");
 }
 
-void pre_acquire(std::uint16_t cls, Mode mode) {
-  if (cls == kNoClass || held_stack().empty()) return;
-  Registry& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  // Same-class nesting first: an edge map can't represent A -> A.
-  for (const Held& h : held_stack())
-    if (h.cls == cls) die_recursion(r, cls);
-  // Check each would-be-new constraint BEFORE recording it, so the
-  // abort report can name the conflicting existing path.
-  for (const Held& h : held_stack())
-    if (r.edges.find(edge_key(h.cls, cls)) == r.edges.end() &&
-        reachable_blocking(r, cls, h.cls))
-      die_inversion(r, h.cls, cls, mode);
-  record_edges(r, cls, mode, /*blocking=*/true);
+void post_acquire(const void* lock, const char* name) {
+  if (name) held = {lock, name};
 }
 
-void post_acquire(std::uint16_t cls, Mode mode, bool trylock) {
-  if (cls == kNoClass) return;
-  if (trylock && !held_stack().empty()) {
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
-    // Edges only — a try acquisition cannot block, so it cannot be the
-    // waiting edge of a deadlock cycle; it still documents order for
-    // the declared-vs-observed diff.
-    record_edges(r, cls, mode, /*blocking=*/false);
-  }
-  held_stack().push_back({cls, mode, trylock});
-}
-
-void on_release(std::uint16_t cls, Mode mode) {
-  if (cls == kNoClass) return;
-  auto& stack = held_stack();
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    if (it->cls == cls && it->mode == mode) {
-      stack.erase(std::next(it).base());
-      return;
-    }
+void on_release(const void* lock, const char* name) {
+  if (!name) return;
+  if (held.lock == lock) {
+    held = {};
+    return;
   }
   ::fprintf(stderr,
-            "lockdep: release of class %u not in this thread's held "
-            "stack (unbalanced lock/unlock?)\n",
-            cls);
-  ::abort();
-}
-
-bool dump_json(const char* path) {
-  Registry& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  std::FILE* f = ::fopen(path, "w");
-  if (!f) return false;
-  dump_json_locked(r, f);
-  ::fclose(f);
-  return true;
-}
-
-std::size_t observed_edge_count() {
-  Registry& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  return r.edges.size();
-}
-
-void reset_for_testing() {
-  Registry& r = reg();
-  std::lock_guard<std::mutex> lk(r.mu);
-  r.edges.clear();
-  held_stack().clear();
+            "lockdep: release of named lock \"%s\" that this thread "
+            "does not hold (unbalanced lock/unlock?)\n",
+            name);
+  die_with_stack("lockdep: current release stack:");
 }
 
 namespace snapshot {
@@ -369,11 +131,7 @@ void check(std::uint64_t gen, const char* what) {
             "generation %llu was retired (%s); a snapshot handle must "
             "not be referenced after the publisher dropped it\n",
             what, static_cast<unsigned long long>(gen), why);
-  Backtrace now;
-  now.capture();
-  now.print("lockdep: offending use stack:");
-  ::fflush(stderr);
-  ::abort();
+  die_with_stack("lockdep: offending use stack:");
 }
 
 }  // namespace snapshot

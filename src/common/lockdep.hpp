@@ -1,34 +1,27 @@
-// Lockdep-style runtime lock-order checking + snapshot-lifecycle
-// discipline (DESIGN.md §12).
+// Runtime lock and snapshot-lifecycle discipline (DESIGN.md §12).
 //
 // TSan proves the *absence of data races on the schedules it saw*; it
-// is structurally blind to lock-order inversions (an ABBA pair that
+// is structurally blind to lock-order deadlocks (an ABBA pair that
 // never interleaved in CI deadlocks in production) and to a retired
 // epoch snapshot quietly serving one more batch. This module monitors
 // those two invariants the way the paper monitors the data plane:
 // continuously, on every execution, instead of trusting one run.
 //
-// Lock-order half (after the Linux kernel's lockdep): every
-// veridp::Mutex / veridp::SharedMutex constructed with a name belongs
-// to a lock *class* keyed by that construction-site name — the
-// per-lane mutexes of the parallel server all collapse into the single
-// class "ParallelServer::Lane::mu", so one observed nesting validates
-// the rule for every lane. Each thread keeps a held-class stack;
-// acquiring class B while holding class A records the directed edge
-// A -> B in a process-global graph. A *blocking* acquisition that
-// would close a cycle aborts immediately with both acquisition stacks
-// (the current one and the one recorded when the conflicting edge was
-// first seen) — the deadlock is reported the first time the *order*
-// inverts, not the first time the timing loses. try_lock acquisitions
-// record their edges (the declared-vs-observed CI diff wants them) but
-// never abort: an acquisition that cannot block cannot complete a
-// deadlock cycle. Reader/writer acquisitions are tracked with their
-// mode and treated conservatively as ordering constraints — a
-// shared/shared cycle is still a hierarchy violation even where the
-// scheduler could not wedge on it.
+// Lock half: ONE NAMED LOCK PER THREAD. A thread holds at most one
+// named veridp::Mutex / veridp::SharedMutex at a time. Each thread
+// keeps one slot for the named lock it holds; every acquisition of a
+// named lock — blocking or try_lock, shared or exclusive — aborts
+// before locking when the slot is already full, naming both locks and
+// printing the current stack. A thread that never nests two named
+// locks cannot be part of a lock-order cycle, so the rule is stronger
+// than any order graph over those locks, and needs no declared
+// hierarchy: the deadlock shape is rejected the first time a nesting
+// runs, not the first time the timing loses. A release of a lock that
+// is not in the slot aborts too (unbalanced lock/unlock). Unnamed
+// locks (tests, scratch) are untracked.
 //
-// Snapshot-lifecycle half (the PR 5 arena-generation trick, extended
-// from BddRefs to EpochSnapshots): every EpochSnapshot registers a
+// Snapshot-lifecycle half (the arena-generation trick, extended from
+// BddRefs to EpochSnapshots): every EpochSnapshot registers a
 // monotonically increasing lifecycle generation at construction. The
 // parallel server's failsafe watchdog *retires* the generation of the
 // slot it abandons; using a retired snapshot (EpochSnapshot::view())
@@ -41,61 +34,27 @@
 // builds the hooks are empty inlines, the wrappers keep their exact
 // std-primitive layout, and the hot path is untouched — the perf-smoke
 // gate runs against the release build precisely so this stays true.
-//
-// Observability: with VERIDP_LOCKDEP_DUMP_DIR set in the environment,
-// the process dumps its observed lock-class order graph as JSON
-// (lockdep.<pid>.json) at clean exit. tools/lock_order_extract.py
-// merges those dumps and diffs them against the ACQUIRED_BEFORE /
-// ACQUIRED_AFTER hierarchy declared in the source, so an undeclared or
-// inverted edge fails CI even when no deadlock fired.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace veridp {
 namespace lockdep {
 
-/// Acquisition/hold mode of one lock operation.
-enum class Mode : std::uint8_t { kExclusive = 0, kShared = 1 };
-
-/// Sentinel class id for untracked (unnamed) locks.
-inline constexpr std::uint16_t kNoClass = 0xffff;
-
 #ifdef VERIDP_LOCKDEP
 
-/// Interns `name` into the process-global class registry and returns
-/// its class id. Identical names (by content) share a class — that is
-/// what collapses per-instance locks into construction-site classes.
-/// `name` must outlive the process (string literals do).
-std::uint16_t register_class(const char* name);
+/// Called BEFORE any acquisition of a lock named `name` (nullptr:
+/// unnamed, untracked): aborts if this thread already holds a named
+/// lock. Aborting before the underlying lock() means the checker
+/// reports the nesting instead of joining a deadlock.
+void pre_acquire(const char* name);
 
-/// Called BEFORE a blocking acquisition of `cls`: records held -> cls
-/// edges, runs cycle detection, and aborts with both acquisition
-/// stacks on an inversion. Aborting before the underlying lock() means
-/// the checker reports the deadlock instead of joining it.
-void pre_acquire(std::uint16_t cls, Mode mode);
+/// Called AFTER a successful acquisition: fills this thread's slot.
+void post_acquire(const void* lock, const char* name);
 
-/// Called AFTER any successful acquisition: pushes onto the per-thread
-/// held stack. For try-acquisitions (`trylock` true) this also records
-/// the held -> cls edges (flagged, never aborting).
-void post_acquire(std::uint16_t cls, Mode mode, bool trylock);
-
-/// Called on release: pops the most recent matching held entry.
-void on_release(std::uint16_t cls, Mode mode);
-
-/// Dumps the observed lock-class order graph as JSON to `path`.
-/// Returns false on IO failure. Also triggered at process exit for
-/// every process that recorded at least one acquisition when
-/// VERIDP_LOCKDEP_DUMP_DIR is set.
-bool dump_json(const char* path);
-
-/// Number of distinct order edges observed so far (test hook).
-std::size_t observed_edge_count();
-
-/// Drops all recorded state — graph, classes stay interned. Test-only:
-/// never call with locks held anywhere in the process.
-void reset_for_testing();
+/// Called on release: aborts unless `lock` is the one in the slot,
+/// then empties it.
+void on_release(const void* lock, const char* name);
 
 namespace snapshot {
 
@@ -119,13 +78,9 @@ void check(std::uint64_t gen, const char* what);
 
 #else  // !VERIDP_LOCKDEP — every hook is a free no-op.
 
-inline std::uint16_t register_class(const char*) { return kNoClass; }
-inline void pre_acquire(std::uint16_t, Mode) {}
-inline void post_acquire(std::uint16_t, Mode, bool) {}
-inline void on_release(std::uint16_t, Mode) {}
-inline bool dump_json(const char*) { return false; }
-inline std::size_t observed_edge_count() { return 0; }
-inline void reset_for_testing() {}
+inline void pre_acquire(const char*) {}
+inline void post_acquire(const void*, const char*) {}
+inline void on_release(const void*, const char*) {}
 
 namespace snapshot {
 inline std::uint64_t register_gen() { return 0; }

@@ -28,13 +28,12 @@
 // read like the upstream examples (CAPABILITY, GUARDED_BY, REQUIRES,
 // ACQUIRE/RELEASE, EXCLUDES, ...).
 // Lockdep (DESIGN.md §12): when VERIDP_LOCKDEP is defined, every
-// wrapper constructed with a name participates in runtime lock-order
-// checking — the name keys the lock's *class* (all per-lane mutexes
-// constructed as "ParallelServer::Lane::mu" share one class), nested
-// acquisitions record class-order edges, and an inversion aborts with
-// both acquisition stacks. Unnamed wrappers stay untracked (tests and
-// scratch locks); every lock in src/ is named. Without the macro the
-// hooks vanish and the wrappers keep their exact release layout.
+// wrapper constructed with a name keeps that name, and a thread that
+// already holds one named lock aborts when it acquires another — naming
+// both locks and printing its stack. Unnamed wrappers stay untracked
+// (tests and scratch locks); every lock in src/ is named. Without the
+// macro the hooks vanish and the wrappers keep their exact release
+// layout (pinned by the static_asserts below the two mutex types).
 #pragma once
 
 #include <chrono>
@@ -54,10 +53,6 @@
 #define SCOPED_CAPABILITY VERIDP_THREAD_ANNOTATION__(scoped_lockable)
 #define GUARDED_BY(x) VERIDP_THREAD_ANNOTATION__(guarded_by(x))
 #define PT_GUARDED_BY(x) VERIDP_THREAD_ANNOTATION__(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) \
-  VERIDP_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) \
-  VERIDP_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   VERIDP_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
 #define REQUIRES_SHARED(...) \
@@ -91,18 +86,17 @@ namespace veridp {
 /// so the RAII guards and CondVar below can be written; production code
 /// takes a MutexLock (the `raw-lock` lint rule enforces this).
 ///
-/// The named constructor enrolls the lock in lockdep's class registry
-/// under VERIDP_LOCKDEP (lockdep.hpp); locks sharing a construction-site
-/// name share a lock class and therefore an order contract. The hook
-/// calls below are inline no-ops in release builds, and the lockdep
-/// class id member exists only in checked builds, so the release layout
-/// and code are exactly the pre-lockdep ones.
+/// Under VERIDP_LOCKDEP the named constructor keeps the name for the
+/// one-named-lock-per-thread rule (lockdep.hpp). The hook calls below
+/// are inline no-ops in release builds, and the name member exists
+/// only in checked builds, so the release layout and code are exactly
+/// the std primitive's.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   explicit Mutex(const char* name) {
 #ifdef VERIDP_LOCKDEP
-    cls_ = lockdep::register_class(name);
+    name_ = name;
 #else
     (void)name;
 #endif
@@ -111,18 +105,18 @@ class CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() ACQUIRE() {
-    lockdep::pre_acquire(cls_id(), lockdep::Mode::kExclusive);
+    lockdep::pre_acquire(name());
     mu_.lock();
-    lockdep::post_acquire(cls_id(), lockdep::Mode::kExclusive, false);
+    lockdep::post_acquire(this, name());
   }
   void unlock() RELEASE() {
-    lockdep::on_release(cls_id(), lockdep::Mode::kExclusive);
+    lockdep::on_release(this, name());
     mu_.unlock();
   }
   bool try_lock() TRY_ACQUIRE(true) {
+    lockdep::pre_acquire(name());
     const bool ok = mu_.try_lock();
-    if (ok)
-      lockdep::post_acquire(cls_id(), lockdep::Mode::kExclusive, true);
+    if (ok) lockdep::post_acquire(this, name());
     return ok;
   }
 
@@ -130,30 +124,30 @@ class CAPABILITY("mutex") Mutex {
   std::mutex& native() { return mu_; }
 
  private:
-  std::uint16_t cls_id() const {
+  const char* name() const {
 #ifdef VERIDP_LOCKDEP
-    return cls_;
+    return name_;
 #else
-    return lockdep::kNoClass;
+    return nullptr;
 #endif
   }
 
   std::mutex mu_;
 #ifdef VERIDP_LOCKDEP
-  std::uint16_t cls_ = lockdep::kNoClass;
+  const char* name_ = nullptr;
 #endif
 };
 
 /// Annotated shared (reader/writer) mutex, e.g. the BddManager
 /// sat_count memo: concurrent warm readers, exclusive cold fills.
-/// Same lockdep story as Mutex; shared acquisitions record their mode
-/// so the order graph distinguishes reader from writer edges.
+/// Same lockdep story as Mutex: a shared acquisition counts as holding
+/// the lock.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   explicit SharedMutex(const char* name) {
 #ifdef VERIDP_LOCKDEP
-    cls_ = lockdep::register_class(name);
+    name_ = name;
 #else
     (void)name;
 #endif
@@ -162,38 +156,46 @@ class CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void lock() ACQUIRE() {
-    lockdep::pre_acquire(cls_id(), lockdep::Mode::kExclusive);
+    lockdep::pre_acquire(name());
     mu_.lock();
-    lockdep::post_acquire(cls_id(), lockdep::Mode::kExclusive, false);
+    lockdep::post_acquire(this, name());
   }
   void unlock() RELEASE() {
-    lockdep::on_release(cls_id(), lockdep::Mode::kExclusive);
+    lockdep::on_release(this, name());
     mu_.unlock();
   }
   void lock_shared() ACQUIRE_SHARED() {
-    lockdep::pre_acquire(cls_id(), lockdep::Mode::kShared);
+    lockdep::pre_acquire(name());
     mu_.lock_shared();
-    lockdep::post_acquire(cls_id(), lockdep::Mode::kShared, false);
+    lockdep::post_acquire(this, name());
   }
   void unlock_shared() RELEASE_SHARED() {
-    lockdep::on_release(cls_id(), lockdep::Mode::kShared);
+    lockdep::on_release(this, name());
     mu_.unlock_shared();
   }
 
  private:
-  std::uint16_t cls_id() const {
+  const char* name() const {
 #ifdef VERIDP_LOCKDEP
-    return cls_;
+    return name_;
 #else
-    return lockdep::kNoClass;
+    return nullptr;
 #endif
   }
 
   std::shared_mutex mu_;
 #ifdef VERIDP_LOCKDEP
-  std::uint16_t cls_ = lockdep::kNoClass;
+  const char* name_ = nullptr;
 #endif
 };
+
+#ifndef VERIDP_LOCKDEP
+static_assert(sizeof(Mutex) == sizeof(std::mutex),
+              "release veridp::Mutex must keep std::mutex's layout");
+static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex),
+              "release veridp::SharedMutex must keep std::shared_mutex's "
+              "layout");
+#endif
 
 /// Scoped exclusive lock over Mutex.
 class SCOPED_CAPABILITY MutexLock {

@@ -45,8 +45,13 @@ void Scorecard::add_run(const RunResult& r) {
   bool scheduled[kNumMutationClasses] = {};
   for (const FuzzAction& a : r.schedule.actions)
     scheduled[static_cast<std::size_t>(a.cls)] = true;
-  for (std::size_t i = 0; i < kNumMutationClasses; ++i)
-    if (scheduled[i]) ++per_class[i].scheduled_runs;
+  int scheduled_harmful = 0;
+  for (std::size_t i = 0; i < kNumMutationClasses; ++i) {
+    if (!scheduled[i]) continue;
+    ++per_class[i].scheduled_runs;
+    if (is_harmful(static_cast<MutationClass>(i))) ++scheduled_harmful;
+  }
+  if (scheduled_harmful > 1) ++multi_class.scheduled_runs;
 
   int harmful_classes = 0;
   std::size_t sole = kNumMutationClasses;
@@ -57,6 +62,7 @@ void Scorecard::add_run(const RunResult& r) {
       sole = static_cast<std::size_t>(c);
     }
   }
+  if (harmful_classes > 1) ++multi_class.effectful_runs;
 
   for (const SwitchId b : r.blamed) {
     ++blamed_total;
@@ -77,21 +83,19 @@ void Scorecard::add_run(const RunResult& r) {
     ttd_sum += ttd;
     ++ttd_count;
   }
-  if (harmful_classes == 1) {
-    ClassScore& cs = per_class[sole];
-    ++cs.detected;
-    if (r.localized) ++cs.localized;
-    if (ttd >= 0) {
-      cs.ttd_sum += ttd;
-      ++cs.ttd_count;
-    }
+  ClassScore& cs = harmful_classes == 1 ? per_class[sole] : multi_class;
+  ++cs.detected;
+  if (r.localized) ++cs.localized;
+  if (ttd >= 0) {
+    cs.ttd_sum += ttd;
+    ++cs.ttd_count;
   }
 }
 
 std::string to_json(const Scorecard& card) {
   std::string out;
   out += "{\n";
-  out += "  \"version\": 1,\n";
+  out += "  \"version\": 2,\n";
   out += "  \"seeds\": [";
   for (std::size_t i = 0; i < card.seeds.size(); ++i) {
     if (i) out += ", ";
@@ -123,17 +127,18 @@ std::string to_json(const Scorecard& card) {
   out += "  \"coverage_keys\": " + std::to_string(card.coverage_keys) + ",\n";
   out += "  \"corpus_new\": " + std::to_string(card.corpus_new) + ",\n";
   out += "  \"per_class\": [\n";
-  for (std::size_t i = 0; i < kNumMutationClasses; ++i) {
-    const ClassScore& cs = card.per_class[i];
+  for (std::size_t i = 0; i <= kNumMutationClasses; ++i) {
+    const bool multi = i == kNumMutationClasses;
+    const ClassScore& cs = multi ? card.multi_class : card.per_class[i];
     out += "    {\"class\": \"";
-    out += to_string(static_cast<MutationClass>(i));
+    out += multi ? "multi_class" : to_string(static_cast<MutationClass>(i));
     out += "\", \"scheduled_runs\": " + std::to_string(cs.scheduled_runs);
     out += ", \"effectful_runs\": " + std::to_string(cs.effectful_runs);
     out += ", \"detected\": " + std::to_string(cs.detected);
     out += ", \"localized\": " + std::to_string(cs.localized);
     out += ", \"ttd_avg\": " + fmt_avg(cs.ttd_sum, cs.ttd_count);
     out += "}";
-    if (i + 1 < kNumMutationClasses) out += ",";
+    if (!multi) out += ",";
     out += "\n";
   }
   out += "  ]\n";

@@ -14,8 +14,10 @@
 // blame precision, false-positive count (must be zero), conservation
 // violations (must be zero), parallel-oracle mismatches (must be
 // zero), and time-to-detection in rounds. Per-class rows attribute
-// detection/localization only for runs whose effectful harmful set is
-// a single class, where attribution is unambiguous.
+// detection/localization to a class for runs whose effectful harmful
+// set is that single class; runs where two or more harmful classes
+// took effect land in the one `multi_class` row, so the rows' detected
+// and localized columns sum to detected_runs and localized_runs.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +31,12 @@
 namespace veridp {
 namespace fuzz {
 
-/// Per-MutationClass scorecard row.
+/// Per-MutationClass scorecard row (and the `multi_class` row, whose
+/// "class" is two or more harmful classes in one run).
 struct ClassScore {
   std::uint32_t scheduled_runs = 0;  ///< runs that scheduled this class
   std::uint32_t effectful_runs = 0;  ///< runs where it was probe-visible
-  std::uint32_t detected = 0;        ///< single-class-effectful + detected
+  std::uint32_t detected = 0;        ///< attributed here + detected
   std::uint32_t localized = 0;       ///< ... and blame hit ground truth
   std::int64_t ttd_sum = 0;          ///< summed time-to-detection (rounds)
   std::uint32_t ttd_count = 0;
@@ -55,6 +58,7 @@ struct Scorecard {
   std::size_t coverage_keys = 0;
   std::uint32_t corpus_new = 0;  ///< runs admitted for fresh coverage
   ClassScore per_class[kNumMutationClasses];
+  ClassScore multi_class;  ///< runs with >=2 harmful classes
 
   /// Folds one run into the aggregate (does not touch coverage fields).
   void add_run(const RunResult& r);

@@ -286,9 +286,9 @@ class ParallelServer {
   struct alignas(64) Lane {
     Lane(std::size_t capacity, std::size_t dedup_window)
         : seqs(dedup_window), q(capacity) {}
-    // Lock class (DESIGN.md §12). No other named lock is taken under
-    // it: submit() releases it before the queue push or the quarantine
-    // append, so it declares no order.
+    // Named lock (DESIGN.md §12): a thread holds no other named lock
+    // with it — submit() releases it before the queue push or the
+    // quarantine append.
     mutable Mutex mu{"ParallelServer::Lane::mu"};
     SeqTrackers seqs GUARDED_BY(mu);
     std::uint64_t received GUARDED_BY(mu) = 0;

@@ -16,6 +16,65 @@ namespace veridp {
 namespace fuzz {
 namespace {
 
+/// Sum of one column over every scorecard row, multi_class included.
+template <typename Column>
+std::uint64_t row_sum(const Scorecard& card, Column col) {
+  std::uint64_t sum = col(card.multi_class);
+  for (const ClassScore& cs : card.per_class) sum += col(cs);
+  return sum;
+}
+
+TEST(FuzzScorecard, ClassRowsSumToRunTotals) {
+  // One detected single-class run, two detected compositions (one
+  // localized), one undetected composition and one benign run: every
+  // detected run lands in exactly one row.
+  auto run = [](std::vector<MutationClass> classes, bool detected,
+                bool localized) {
+    RunResult r;
+    for (const MutationClass c : classes) {
+      r.schedule.actions.push_back(FuzzAction{0, c});
+      if (is_harmful(c)) {
+        ++r.harmful_effectful;
+        r.effectful_classes.push_back(c);
+      }
+    }
+    r.detected = detected;
+    r.localized = localized;
+    r.first_effectful_round = 1;
+    r.detect_round = 2;
+    return r;
+  };
+  Scorecard card;
+  card.add_run(run({MutationClass::kDropRule}, true, true));
+  card.add_run(run({MutationClass::kDropRule, MutationClass::kAclShuffle},
+                   true, true));
+  card.add_run(run({MutationClass::kRewriteOutput, MutationClass::kChurn,
+                    MutationClass::kInstallLoss},
+                   true, false));
+  card.add_run(run({MutationClass::kExternalRule,
+                    MutationClass::kIgnorePriority},
+                   false, false));
+  card.add_run(run({MutationClass::kReportDrop}, false, false));
+
+  EXPECT_EQ(card.harmful_runs, 4u);
+  EXPECT_EQ(card.detected_runs, 3u);
+  EXPECT_EQ(card.localized_runs, 2u);
+  EXPECT_EQ(row_sum(card, [](const ClassScore& cs) { return cs.detected; }),
+            card.detected_runs);
+  EXPECT_EQ(row_sum(card, [](const ClassScore& cs) { return cs.localized; }),
+            card.localized_runs);
+  EXPECT_EQ(card.multi_class.scheduled_runs, 3u);
+  EXPECT_EQ(card.multi_class.effectful_runs, 3u);
+  EXPECT_EQ(card.multi_class.detected, 2u);
+  EXPECT_EQ(card.multi_class.localized, 1u);
+  EXPECT_EQ(card.per_class[0].detected, 1u);  // the lone drop_rule run
+  EXPECT_NE(to_json(card).find("{\"class\": \"multi_class\", "
+                               "\"scheduled_runs\": 3, \"effectful_runs\": "
+                               "3, \"detected\": 2, \"localized\": 1"),
+            std::string::npos)
+      << to_json(card);
+}
+
 TEST(FuzzCampaign, SingleSeedSweepCoversAllClassesCleanly) {
   CampaignOptions opts;
   opts.seeds = {1};
@@ -45,6 +104,10 @@ TEST(FuzzCampaign, SingleSeedSweepCoversAllClassesCleanly) {
   EXPECT_EQ(card.detected_runs, card.harmful_runs) << to_json(card);
   EXPECT_EQ(card.localized_runs, card.detected_runs) << to_json(card);
   EXPECT_EQ(card.blamed_correct, card.blamed_total);
+  EXPECT_EQ(row_sum(card, [](const ClassScore& cs) { return cs.detected; }),
+            card.detected_runs);
+  EXPECT_EQ(row_sum(card, [](const ClassScore& cs) { return cs.localized; }),
+            card.localized_runs);
 
   EXPECT_GT(card.coverage_keys, 0u);
   EXPECT_EQ(card.coverage_keys, outcome.coverage.size());

@@ -1,16 +1,13 @@
 // Regression coverage for the VERIDP_LOCKDEP runtime checker
-// (common/lockdep.hpp, DESIGN.md §12): lock-order inversions, recursive
-// same-class acquisition, try-lock edge recording, reader/writer modes,
-// and the snapshot-lifecycle (use-after-retire) half.
+// (common/lockdep.hpp, DESIGN.md §12): the one-named-lock-per-thread
+// rule — every nesting shape of two named locks aborts, whatever its
+// order, mode or blocking kind — and the snapshot-lifecycle
+// (use-after-retire) half.
 //
 // This executable compiles its own copy of lockdep.cc with the macro
 // defined (see tests/CMakeLists.txt) rather than linking the veridp
 // umbrella — the default build must keep the hooks compiled out, and a
 // tree-wide define would put every other test behind the checker.
-//
-// Every lock class registered here is prefixed "test." so that
-// tools/lock_order_extract.py --diff ignores the deliberately
-// inverted orders these tests provoke (its default --ignore-prefix).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -20,51 +17,42 @@
 namespace veridp {
 namespace {
 
-// Distinct class names per test: the order graph is process-global and
-// death-test children replay the test body, so sharing names across
-// tests would let one test's edges leak into another's verdict.
-
-TEST(Lockdep, NamedClassesAreInternedByContent) {
-  Mutex a1{"test.intern.a"};
-  Mutex a2{"test.intern.a"};
-  Mutex b{"test.intern.b"};
-  // Two instances of one construction-site name share a class: nesting
-  // a1 -> b and then b -> a2 would be an inversion (checked in the
-  // death tests); here we only assert the non-death plumbing — a
-  // consistent order over both instances records exactly one edge.
-  const std::size_t before = lockdep::observed_edge_count();
-  {
-    MutexLock la(a1);
-    MutexLock lb(b);
-  }
-  {
-    MutexLock la(a2);
-    MutexLock lb(b);
-  }
-  EXPECT_EQ(lockdep::observed_edge_count(), before + 1);
-}
+// The nesting abort names the lock already held and the one being
+// acquired; each death test pins both names.
+#define NESTING(held, acquired) \
+  "holds named lock \"" held "\" while acquiring named lock \"" acquired "\""
 
 TEST(Lockdep, ConsistentOrderStaysSilent) {
+  // Sequential use of many named locks, always in one order, from
+  // several threads: a thread lets go of each lock before it takes the
+  // next, so the slot is empty at every acquisition.
   Mutex outer{"test.consistent.outer"};
   Mutex inner{"test.consistent.inner"};
-  // The declared-hierarchy shape: always outer before inner, from
-  // multiple threads. No abort, one edge.
-  auto nest = [&] {
+  Mutex lane0{"test.consistent.lane"};
+  Mutex lane1{"test.consistent.lane"};
+  SharedMutex table{"test.consistent.table"};
+  auto sequential = [&] {
     for (int i = 0; i < 64; ++i) {
-      MutexLock lo(outer);
-      MutexLock li(inner);
+      { MutexLock lo(outer); }
+      { MutexLock li(inner); }
+      { MutexLock l0(lane0); }
+      { MutexLock l1(lane1); }
+      { ReaderLock r(table); }
+      { WriterLock w(table); }
+      if (outer.try_lock()) outer.unlock();
     }
   };
-  std::thread t1(nest), t2(nest);
+  std::thread t1(sequential), t2(sequential), t3(sequential);
   t1.join();
   t2.join();
+  t3.join();
   SUCCEED();
 }
 
 TEST(Lockdep, UnnamedLocksAreUntracked) {
-  Mutex anon_a;  // default-constructed: no class, no edges
+  Mutex anon_a;  // default-constructed: no name, never in the slot
   Mutex anon_b;
-  const std::size_t before = lockdep::observed_edge_count();
+  Mutex named{"test.unnamed.named"};
   {
     MutexLock la(anon_a);
     MutexLock lb(anon_b);
@@ -73,61 +61,53 @@ TEST(Lockdep, UnnamedLocksAreUntracked) {
     MutexLock lb(anon_b);
     MutexLock la(anon_a);  // inverted — but invisible by design
   }
-  EXPECT_EQ(lockdep::observed_edge_count(), before);
+  {
+    // An unnamed lock nests freely on either side of a named one.
+    MutexLock la(anon_a);
+    MutexLock ln(named);
+    MutexLock lb(anon_b);
+  }
+  SUCCEED();
 }
 
-TEST(Lockdep, TryLockRecordsEdgeWithoutAborting) {
-  Mutex held{"test.try.held"};
-  Mutex tried{"test.try.tried"};
-  // Record tried -> held as the blocking order first...
-  {
-    MutexLock lt(tried);
-    MutexLock lh(held);
-  }
-  const std::size_t before = lockdep::observed_edge_count();
-  // ...then try-acquire in the opposite nesting. A try_lock cannot
-  // block, so it cannot complete a deadlock cycle: the edge is
-  // recorded for the declared-vs-observed diff but must not abort.
-  {
-    MutexLock lh(held);
-    ASSERT_TRUE(tried.try_lock());
-    tried.unlock();
-  }
-  EXPECT_EQ(lockdep::observed_edge_count(), before + 1);
-}
-
-TEST(Lockdep, ReaderThenWriterNestingIsOneOrderedEdge) {
-  SharedMutex table{"test.rw.table"};
-  Mutex side{"test.rw.side"};
-  const std::size_t before = lockdep::observed_edge_count();
-  {
-    ReaderLock r(table);
-    MutexLock s(side);
-  }
-  {
-    WriterLock w(table);
-    MutexLock s(side);
-  }
-  // Shared and exclusive acquisitions of one class are the same node
-  // in the order graph (conservative): both nestings are the single
-  // edge table -> side.
-  EXPECT_EQ(lockdep::observed_edge_count(), before + 1);
+TEST(LockdepDeathTest, ConsistentOrderNestingAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The declared-hierarchy shape: outer before inner, never inverted.
+  // An order graph accepts it; the one-lock rule does not.
+  Mutex outer{"test.nest.outer"};
+  Mutex inner{"test.nest.inner"};
+  EXPECT_DEATH(
+      {
+        MutexLock lo(outer);
+        MutexLock li(inner);
+      },
+      NESTING("test.nest.outer", "test.nest.inner"));
 }
 
 TEST(LockdepDeathTest, AbbaInversionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex a{"test.abba.a"};
   Mutex b{"test.abba.b"};
-  {
-    MutexLock la(a);
-    MutexLock lb(b);  // records a -> b
-  }
+  // Either half of the ABBA pair is already a nesting; the first one
+  // aborts before the inverted order can ever run.
+  EXPECT_DEATH(
+      {
+        {
+          MutexLock la(a);
+          MutexLock lb(b);
+        }
+        {
+          MutexLock lb(b);
+          MutexLock la(a);
+        }
+      },
+      NESTING("test.abba.a", "test.abba.b"));
   EXPECT_DEATH(
       {
         MutexLock lb(b);
-        MutexLock la(a);  // would record b -> a: cycle
+        MutexLock la(a);
       },
-      "lock-order inversion");
+      NESTING("test.abba.b", "test.abba.a"));
 }
 
 TEST(LockdepDeathTest, TransitiveInversionAborts) {
@@ -135,25 +115,36 @@ TEST(LockdepDeathTest, TransitiveInversionAborts) {
   Mutex a{"test.chain.a"};
   Mutex b{"test.chain.b"};
   Mutex c{"test.chain.c"};
-  {
-    MutexLock la(a);
-    MutexLock lb(b);  // a -> b
-  }
-  {
-    MutexLock lb(b);
-    MutexLock lc(c);  // b -> c
-  }
+  // a -> b, b -> c, c -> a: each edge of the 3-cycle on its own thread,
+  // so no thread ever inverts an order it saw — only the cycle across
+  // threads deadlocks. Each edge is a nesting, so the first one aborts.
+  EXPECT_DEATH(
+      {
+        std::thread([&] {
+          MutexLock la(a);
+          MutexLock lb(b);
+        }).join();
+        std::thread([&] {
+          MutexLock lb(b);
+          MutexLock lc(c);
+        }).join();
+        std::thread([&] {
+          MutexLock lc(c);
+          MutexLock la(a);
+        }).join();
+      },
+      NESTING("test.chain.a", "test.chain.b"));
   EXPECT_DEATH(
       {
         MutexLock lc(c);
-        MutexLock la(a);  // c -> a closes a 3-cycle through b
+        MutexLock la(a);  // the edge that closes the cycle
       },
-      "lock-order inversion");
+      NESTING("test.chain.c", "test.chain.a"));
 }
 
 TEST(LockdepDeathTest, SameClassNestingAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Two INSTANCES, one class: exactly the per-lane shape where thread
+  // Two INSTANCES of one name: exactly the per-lane shape where thread
   // 1 nests lane[0] under lane[1] and thread 2 the reverse.
   Mutex lane0{"test.recursion.lane"};
   Mutex lane1{"test.recursion.lane"};
@@ -162,29 +153,104 @@ TEST(LockdepDeathTest, SameClassNestingAborts) {
         MutexLock l0(lane0);
         MutexLock l1(lane1);
       },
-      "recursive acquisition");
+      NESTING("test.recursion.lane", "test.recursion.lane"));
+}
+
+TEST(LockdepDeathTest, ReaderThenWriterNestingAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SharedMutex table{"test.rw.table"};
+  Mutex side{"test.rw.side"};
+  // A shared hold counts: a reader nesting a lock aborts like a writer.
+  EXPECT_DEATH(
+      {
+        ReaderLock r(table);
+        MutexLock s(side);
+      },
+      NESTING("test.rw.table", "test.rw.side"));
+  EXPECT_DEATH(
+      {
+        WriterLock w(table);
+        MutexLock s(side);
+      },
+      NESTING("test.rw.table", "test.rw.side"));
 }
 
 TEST(LockdepDeathTest, WriterInversionAgainstReaderOrderAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   SharedMutex table{"test.rwinv.table"};
   Mutex side{"test.rwinv.side"};
-  {
-    ReaderLock r(table);  // table -> side, via the shared side
-    MutexLock s(side);
-  }
   EXPECT_DEATH(
       {
         MutexLock s(side);
-        WriterLock w(table);  // side -> table: inversion
+        WriterLock w(table);
       },
-      "lock-order inversion");
+      NESTING("test.rwinv.side", "test.rwinv.table"));
+  EXPECT_DEATH(
+      {
+        MutexLock s(side);
+        ReaderLock r(table);  // a shared acquisition is checked too
+      },
+      NESTING("test.rwinv.side", "test.rwinv.table"));
+}
+
+TEST(LockdepDeathTest, TryLockUnderHeldLockAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Mutex held{"test.try.held"};
+  Mutex tried{"test.try.tried"};
+  // A try_lock cannot block, but a held try-acquired lock can still be
+  // the lock another thread waits on: the rule checks it before trying.
+  EXPECT_DEATH(
+      {
+        MutexLock lh(held);
+        if (tried.try_lock()) tried.unlock();
+      },
+      NESTING("test.try.held", "test.try.tried"));
+}
+
+// Two shapes an order-hierarchy diff flags only after the fact: a pair
+// taken against its declared order, and an edge no hierarchy declares.
+
+TEST(LockdepDeathTest, InvertedBufferPairAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Failure and quarantine buffers taken together, in the order
+  // opposite to a declared failures -> quarantine hierarchy.
+  Mutex failures{"test.fixture.failures"};
+  Mutex quarantine{"test.fixture.quarantine"};
+  EXPECT_DEATH(
+      {
+        MutexLock lq(quarantine);
+        MutexLock lf(failures);
+      },
+      NESTING("test.fixture.quarantine", "test.fixture.failures"));
+}
+
+TEST(LockdepDeathTest, UndeclaredSharedThenTryLockAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A counter held shared while a queue lock is try-acquired: the edge
+  // no hierarchy declared.
+  SharedMutex counter{"test.fixture.counter"};
+  Mutex queue{"test.fixture.queue"};
+  EXPECT_DEATH(
+      {
+        ReaderLock lc(counter);
+        if (queue.try_lock()) queue.unlock();
+      },
+      NESTING("test.fixture.counter", "test.fixture.queue"));
 }
 
 TEST(LockdepDeathTest, UnbalancedReleaseAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex a{"test.unbalanced.a"};
-  EXPECT_DEATH(a.unlock(), "not in this thread's held stack");
+  Mutex b{"test.unbalanced.b"};
+  EXPECT_DEATH(a.unlock(), "release of named lock \"test.unbalanced.a\" "
+                           "that this thread does not hold");
+  // Releasing a lock other than the one held is unbalanced too.
+  EXPECT_DEATH(
+      {
+        MutexLock la(a);
+        b.unlock();
+      },
+      "release of named lock \"test.unbalanced.b\"");
 }
 
 // -- Snapshot lifecycle (the arena-generation trick for EpochSnapshot) --
