@@ -2,25 +2,52 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace veridp {
+
+namespace {
+
+[[noreturn]] void reject(SwitchId s, const std::string& what) {
+  throw std::invalid_argument("IncrementalUpdater: switch " +
+                              std::to_string(s) + " " + what +
+                              " (outside the §4.4 dst-prefix fragment)");
+}
+
+void require_fragment(SwitchId s, const FlowRule& r) {
+  if (!r.match.is_dst_prefix_only())
+    reject(s, "rule " + std::to_string(r.id) + " matches beyond a dst prefix");
+  if (!r.action.rewrite.empty())
+    reject(s, "rule " + std::to_string(r.id) + " rewrites headers");
+}
+
+template <class Terminals>
+auto find_terminal(Terminals& terms, PortId y) {
+  return std::find_if(terms.begin(), terms.end(),
+                      [y](const auto& t) { return t.first == y; });
+}
+
+}  // namespace
 
 // One node of the flow forest: the headers `h` that arrive at switch `s`
 // via local port `x`, having entered the network at `inport` and
 // accumulated `tag` so far (tag of the chain up to but excluding this
-// switch's outgoing hop). `children` are continuations into neighboring
-// switches, keyed by this switch's output port; `terminals` marks output
-// ports whose branch ends here (edge port or ⊥) and therefore owns a
-// path-table entry.
+// switch's outgoing hop); `via` is the parent's output port it hangs off.
+// `children` are continuations into neighboring switches, keyed by this
+// switch's output port; `terminals` are the output ports whose branch
+// ends here (edge port or ⊥), each with the headers of the path entry it
+// owns (always equal to that entry's headers).
 struct IncrementalUpdater::FlowNode {
   PortKey inport;
   SwitchId s = kNoSwitch;
   PortId x = 0;
+  PortId via = 0;
   HeaderSet h;
   BloomTag tag{BloomTag::kDefaultBits};
   FlowNode* parent = nullptr;
   ChildMap children;
-  std::unordered_set<PortId> terminals;
+  std::vector<Terminal> terminals;
 };
 
 IncrementalUpdater::IncrementalUpdater(const HeaderSpace& space,
@@ -36,26 +63,16 @@ IncrementalUpdater::IncrementalUpdater(const HeaderSpace& space,
 
 IncrementalUpdater::~IncrementalUpdater() = default;
 
-std::vector<Hop> IncrementalUpdater::chain_path(const FlowNode& node) const {
-  // Hops of the chain root..node's *arrival*; the final hop (node's
-  // output) is appended by callers that know the output port.
-  std::vector<const FlowNode*> chain;
-  for (const FlowNode* n = &node; n; n = n->parent) chain.push_back(n);
-  std::reverse(chain.begin(), chain.end());
-  std::vector<Hop> path;
-  path.reserve(chain.size());
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    // chain[i]'s output port is the key under which chain[i+1] is stored.
-    const FlowNode* cur = chain[i];
-    const FlowNode* nxt = chain[i + 1];
-    PortId out = 0;
-    for (const auto& [y, child] : cur->children)
-      if (child.get() == nxt) {
-        out = y;
-        break;
-      }
-    path.push_back(Hop{cur->x, cur->s, out});
-  }
+std::vector<Hop> IncrementalUpdater::chain_path(const FlowNode& node,
+                                                PortId y) const {
+  // Hops of the chain root..node, ending with node's hop out of port y.
+  // Sized exactly: the table keeps this vector for the entry's lifetime.
+  std::size_t depth = 0;
+  for (const FlowNode* n = &node; n->parent; n = n->parent) ++depth;
+  std::vector<Hop> path(depth + 1);
+  path[depth] = Hop{node.x, node.s, y};
+  for (const FlowNode* n = &node; n->parent; n = n->parent)
+    path[--depth] = Hop{n->parent->x, n->parent->s, n->via};
   return path;
 }
 
@@ -66,21 +83,27 @@ bool IncrementalUpdater::would_loop(const FlowNode& node,
   return false;
 }
 
-void IncrementalUpdater::subtract_entry(const FlowNode& node, PortId y,
+bool IncrementalUpdater::subtract_entry(const FlowNode& node, Terminal& t,
                                         const HeaderSet& h_sub) {
-  const PortKey outport{node.s, y};
-  std::vector<Hop> path = chain_path(node);
-  path.push_back(Hop{node.x, node.s, y});
+  HeaderSet rest = t.second - h_sub;
+  if (rest == t.second) return true;  // the entry does not meet h_sub
+  t.second = std::move(rest);
+  const PortKey outport{node.s, t.first};
+  const std::vector<Hop> path = chain_path(node, t.first);
+  if (t.second.empty()) {
+    table_.remove_path(node.inport, outport, path);
+    return false;
+  }
   auto* list =
       const_cast<PathTable::EntryList*>(table_.lookup(node.inport, outport));
   assert(list);
-  for (PathEntry& e : *list) {
-    if (e.path != path) continue;
-    e.headers -= h_sub;
-    if (e.headers.empty()) table_.remove_path(node.inport, outport, path);
-    return;
-  }
-  assert(false && "terminal marker without a path entry");
+  for (PathEntry& e : *list)
+    if (e.path == path) {
+      e.headers = t.second;
+      return true;
+    }
+  assert(false && "terminal without a path entry");
+  return true;
 }
 
 void IncrementalUpdater::handle_out(FlowNode& node, PortId y,
@@ -95,10 +118,12 @@ void IncrementalUpdater::handle_out(FlowNode& node, PortId y,
   tag2.insert(hop);
 
   if (is_drop || is_edge) {
-    std::vector<Hop> path = chain_path(node);
-    path.push_back(hop);
-    table_.add_path(node.inport, out, h2, std::move(path), tag2);
-    node.terminals.insert(y);
+    table_.add_path(node.inport, out, h2, chain_path(node, y), tag2);
+    auto t = find_terminal(node.terminals, y);
+    if (t == node.terminals.end())
+      node.terminals.emplace_back(y, h2);
+    else
+      t->second |= h2;
     return;
   }
 
@@ -117,6 +142,7 @@ void IncrementalUpdater::handle_out(FlowNode& node, PortId y,
   child->inport = node.inport;
   child->s = next->sw;
   child->x = next->port;
+  child->via = y;
   child->h = h2;
   child->tag = tag2;
   child->parent = &node;
@@ -134,17 +160,17 @@ void IncrementalUpdater::propagate(FlowNode& node, const HeaderSet& h_add) {
     const PortId y = (yi == n + 1) ? kDropPort : yi;
     const HeaderSet pred =
         y == kDropPort ? tree.drop_predicate() : tree.port_predicate(y);
-    handle_out(node, y, h_add & pred);
+    const HeaderSet part = h_add & pred;
+    handle_out(node, y, part);
+    // The port predicates partition the header space: once one port
+    // takes all of h_add, every other port meets it in nothing.
+    if (part == h_add) return;
   }
 }
 
 void IncrementalUpdater::erase_subtree(FlowNode& node) {
-  for (PortId y : node.terminals) {
-    const PortKey outport{node.s, y};
-    std::vector<Hop> path = chain_path(node);
-    path.push_back(Hop{node.x, node.s, y});
-    table_.remove_path(node.inport, outport, path);
-  }
+  for (const auto& [y, owned] : node.terminals)
+    table_.remove_path(node.inport, PortKey{node.s, y}, chain_path(node, y));
   node.terminals.clear();
   for (auto& [y, child] : node.children) {
     (void)y;
@@ -162,36 +188,21 @@ void IncrementalUpdater::subtract_subtree(FlowNode& node,
   node.h -= hh;
 
   // Shrink terminal entries first (they reference the pre-erase chain).
-  for (auto it = node.terminals.begin(); it != node.terminals.end();) {
-    const PortId y = *it;
-    subtract_entry(node, y, hh);
-    // Terminal survives iff its entry still exists.
-    const PortKey outport{node.s, y};
-    std::vector<Hop> path = chain_path(node);
-    path.push_back(Hop{node.x, node.s, y});
-    const auto* list = table_.lookup(node.inport, outport);
-    bool alive = false;
-    if (list)
-      for (const PathEntry& e : *list)
-        if (e.path == path) {
-          alive = true;
-          break;
-        }
-    it = alive ? std::next(it) : node.terminals.erase(it);
-  }
+  for (auto t = node.terminals.begin(); t != node.terminals.end();)
+    t = subtract_entry(node, *t, hh) ? std::next(t) : node.terminals.erase(t);
+  for (auto it = node.children.begin(); it != node.children.end();)
+    it = subtract_child(node, it, hh);
+}
 
-  for (auto it = node.children.begin(); it != node.children.end();) {
-    FlowNode& child = *it->second;
-    subtract_subtree(child, hh);
-    if (child.h.empty()) {
-      erase_subtree(child);
-      by_switch_[static_cast<std::size_t>(child.s)].erase(&child);
-      --num_nodes_;
-      it = node.children.erase(it);
-    } else {
-      ++it;
-    }
-  }
+IncrementalUpdater::ChildMap::iterator IncrementalUpdater::subtract_child(
+    FlowNode& node, ChildMap::iterator it, const HeaderSet& h_sub) {
+  FlowNode& child = *it->second;
+  subtract_subtree(child, h_sub);
+  if (!child.h.empty()) return std::next(it);
+  erase_subtree(child);
+  by_switch_[static_cast<std::size_t>(child.s)].erase(&child);
+  --num_nodes_;
+  return node.children.erase(it);
 }
 
 void IncrementalUpdater::initialize(const std::vector<SwitchConfig>& logical) {
@@ -201,14 +212,16 @@ void IncrementalUpdater::initialize(const std::vector<SwitchConfig>& logical) {
   for (auto& set : by_switch_) set.clear();
   num_nodes_ = 0;
 
-  // Phase 0: seed the rule trees (port predicates).
+  // Phase 0: seed the rule trees (port predicates), rejecting anything
+  // outside the §4.4 fragment.
   for (SwitchId s = 0; s < logical.size(); ++s) {
-    for (const FlowRule& r :
-         logical[static_cast<std::size_t>(s)].table.rules()) {
-      assert(r.match.is_dst_prefix_only() &&
-             "IncrementalUpdater handles dst-prefix rules only (§4.4)");
-      assert(r.action.rewrite.empty() &&
-             "the §4.4 fragment excludes header rewrites");
+    const SwitchConfig& cfg = logical[static_cast<std::size_t>(s)];
+    for (const auto* acls : {&cfg.in_acls, &cfg.out_acls})
+      for (const auto& [port, acl] : *acls)
+        if (!acl.trivially_permits_all())
+          reject(s, "port " + std::to_string(port) + " has an ACL");
+    for (const FlowRule& r : cfg.table.rules()) {
+      require_fragment(s, r);
       trees_[static_cast<std::size_t>(s)]->add(r.id, r.match.dst,
                                                r.action.out);
     }
@@ -251,30 +264,12 @@ IncrementalUpdater::UpdateStats IncrementalUpdater::redirect(
 
     // Shrink the losing branch. It may be a terminal, a child, or absent
     // (the branch was loop-cut during construction).
-    if (node->terminals.contains(from)) {
-      subtract_entry(*node, from, h2);
-      const PortKey outport{node->s, from};
-      std::vector<Hop> path = chain_path(*node);
-      path.push_back(Hop{node->x, node->s, from});
-      const auto* list = table_.lookup(node->inport, outport);
-      bool alive = false;
-      if (list)
-        for (const PathEntry& e : *list)
-          if (e.path == path) {
-            alive = true;
-            break;
-          }
-      if (!alive) node->terminals.erase(from);
+    if (auto t = find_terminal(node->terminals, from);
+        t != node->terminals.end()) {
+      if (!subtract_entry(*node, *t, h2)) node->terminals.erase(t);
     } else if (auto it = node->children.find(from);
                it != node->children.end()) {
-      FlowNode& child = *it->second;
-      subtract_subtree(child, h2);
-      if (child.h.empty()) {
-        erase_subtree(child);
-        by_switch_[static_cast<std::size_t>(child.s)].erase(&child);
-        --num_nodes_;
-        node->children.erase(it);
-      }
+      subtract_child(*node, it, h2);
     }
 
     // Grow the gaining branch.
@@ -286,14 +281,14 @@ IncrementalUpdater::UpdateStats IncrementalUpdater::redirect(
 
 IncrementalUpdater::UpdateStats IncrementalUpdater::apply(
     const RuleEvent& ev) {
-  assert(ev.rule.match.is_dst_prefix_only() &&
-         "IncrementalUpdater handles dst-prefix rules only (§4.4)");
   RuleTree& tree = *trees_[static_cast<std::size_t>(ev.sw)];
   std::optional<RuleTree::Delta> delta;
-  if (ev.kind == RuleEvent::Kind::kAdd)
+  if (ev.kind == RuleEvent::Kind::kAdd) {
+    require_fragment(ev.sw, ev.rule);
     delta = tree.add(ev.rule.id, ev.rule.match.dst, ev.rule.action.out);
-  else
+  } else {
     delta = tree.remove(ev.rule.id);
+  }
   if (!delta || delta->moved.empty()) return {};
   if (delta->gaining_port == delta->losing_port) return {};
   return redirect(ev.sw, delta->moved, delta->losing_port,
@@ -309,6 +304,30 @@ IncrementalUpdater::UpdateStats IncrementalUpdater::apply_batch(
     total.inports_touched += s.inports_touched;
   }
   return total;
+}
+
+bool IncrementalUpdater::ownership_consistent() const {
+  std::unordered_set<const PathEntry*> owned_entries;
+  std::size_t owners = 0;
+  std::vector<const FlowNode*> stack;
+  for (const auto& root : roots_) stack.push_back(root.get());
+  while (!stack.empty()) {
+    const FlowNode& n = *stack.back();
+    stack.pop_back();
+    for (const auto& [y, owned] : n.terminals) {
+      ++owners;
+      const auto* list = table_.lookup(n.inport, PortKey{n.s, y});
+      if (!list || owned.empty()) return false;
+      const std::vector<Hop> path = chain_path(n, y);
+      auto e = std::find_if(list->begin(), list->end(),
+                            [&](const PathEntry& pe) { return pe.path == path; });
+      if (e == list->end() || e->headers != owned) return false;
+      owned_entries.insert(&*e);
+    }
+    for (const auto& [y, child] : n.children) stack.push_back(child.get());
+  }
+  return owned_entries.size() == owners &&
+         owners == table_.stats().num_paths;
 }
 
 bool IncrementalUpdater::consistent_with_rebuild() const {

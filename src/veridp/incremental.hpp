@@ -21,8 +21,12 @@
 // Deletion is the same operation with `from`/`to` swapped. Only branches
 // whose headers intersect Δ are touched, giving the Figure-14 per-rule
 // update times. As in the paper, this machinery handles dst-prefix
-// forwarding rules (no ACLs); Server falls back to full rebuilds for
-// configurations outside that fragment.
+// forwarding rules only: no other match field, no header rewrite and no
+// ACL. initialize and apply reject anything outside that fragment with
+// std::invalid_argument; configurations that need it run
+// Server::Mode::kFullRebuild. Each terminal branch owns exactly one path
+// entry and keeps a copy of its headers, so a subtraction touches the
+// table only where an entry actually changes.
 #pragma once
 
 #include <map>
@@ -62,8 +66,10 @@ class IncrementalUpdater {
   IncrementalUpdater& operator=(const IncrementalUpdater&) = delete;
 
   /// Seeds the rule trees and builds the initial flow forest + path
-  /// table. Every rule must be a dst-prefix rule (Match::is_dst_prefix_
-  /// only) — the §4.4 fragment.
+  /// table. Throws std::invalid_argument, naming the switch and the rule
+  /// (or port), on a rule that is not a plain dst-prefix forward
+  /// (Match::is_dst_prefix_only, no rewrite) or on a non-trivial ACL —
+  /// the §4.4 fragment.
   void initialize(const std::vector<SwitchConfig>& logical);
 
   struct UpdateStats {
@@ -71,7 +77,9 @@ class IncrementalUpdater {
     std::size_t inports_touched = 0; ///< distinct entry ports affected
   };
 
-  /// Applies one rule add/delete incrementally.
+  /// Applies one rule add/delete incrementally. Throws
+  /// std::invalid_argument, leaving the state untouched, when an added
+  /// rule is outside the §4.4 fragment (see initialize).
   UpdateStats apply(const RuleEvent& ev);
 
   /// Replays a deferred event sequence in order, summing the stats.
@@ -88,23 +96,35 @@ class IncrementalUpdater {
   /// current rule trees and compares. O(full build) — test use only.
   [[nodiscard]] bool consistent_with_rebuild() const;
 
+  /// Ownership invariant: every terminal owns exactly one table entry,
+  /// the one on its chain plus its hop, and that entry's headers equal
+  /// the terminal's; every entry has exactly one owner. Walks the whole
+  /// forest — test use only.
+  [[nodiscard]] bool ownership_consistent() const;
+
   /// Total flow nodes alive (memory/telemetry).
   [[nodiscard]] std::size_t num_flow_nodes() const { return num_nodes_; }
 
  private:
   struct FlowNode;
   using ChildMap = std::map<PortId, std::unique_ptr<FlowNode>>;
+  /// A terminal branch: its output port and the headers of the path
+  /// entry it owns.
+  using Terminal = std::pair<PortId, HeaderSet>;
 
   // -- forest operations (see .cc) ------------------------------------------
   void propagate(FlowNode& node, const HeaderSet& h_add);
   void handle_out(FlowNode& node, PortId y, const HeaderSet& h2);
   void subtract_subtree(FlowNode& node, const HeaderSet& h_sub);
+  ChildMap::iterator subtract_child(FlowNode& node, ChildMap::iterator it,
+                                    const HeaderSet& h_sub);
   void erase_subtree(FlowNode& node);
   bool would_loop(const FlowNode& node, PortKey next) const;
-  std::vector<Hop> chain_path(const FlowNode& node) const;
+  std::vector<Hop> chain_path(const FlowNode& node, PortId y) const;
   UpdateStats redirect(SwitchId s, const HeaderSet& delta, PortId from,
                        PortId to);
-  void subtract_entry(const FlowNode& node, PortId y, const HeaderSet& h_sub);
+  bool subtract_entry(const FlowNode& node, Terminal& t,
+                      const HeaderSet& h_sub);
 
   const HeaderSpace* space_;
   const Topology* topo_;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "controller/routing.hpp"
 #include "testutil.hpp"
 #include "veridp/verifier.hpp"
@@ -46,7 +49,86 @@ TEST(Incremental, InitializeMatchesConfigBuild) {
   const PathTable full = PathTableBuilder(space, topo, provider).build();
   EXPECT_TRUE(equivalent(upd.table(), full));
   EXPECT_TRUE(upd.consistent_with_rebuild());
+  EXPECT_TRUE(upd.ownership_consistent());
   EXPECT_GT(upd.num_flow_nodes(), 0u);
+}
+
+// The §4.4 fragment is enforced in every build type, not only by
+// debug asserts: a rule outside it would otherwise be folded into the
+// RuleTree by its dst prefix alone, giving a wrong table.
+std::string initialize_error(const Controller& c) {
+  HeaderSpace space;
+  IncrementalUpdater upd(space, c.topology());
+  try {
+    upd.initialize(c.logical_configs());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Incremental, InitializeRejectsRulesOutsideTheFragment) {
+  Topology topo = linear(3);
+  const Prefix dst{Ipv4::of(10, 0, 2, 0), 25};
+  {
+    Controller c(topo);
+    routing::install_shortest_paths(c);
+    Match m = Match::dst_prefix(dst);
+    m.src = Prefix{Ipv4::of(10, 0, 0, 0), 24};
+    const RuleId id = c.add_rule(1, 25, m, Action::output(2));
+    const std::string what = initialize_error(c);
+    EXPECT_NE(what.find("switch 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("rule " + std::to_string(id)), std::string::npos)
+        << what;
+  }
+  {
+    Controller c(topo);
+    routing::install_shortest_paths(c);
+    const RuleId id = c.add_rule(
+        2, 25, Match::dst_prefix(dst),
+        Action::output_rewrite(3, Rewrite::dst_ip(Ipv4::of(10, 0, 0, 9))));
+    const std::string what = initialize_error(c);
+    EXPECT_NE(what.find("switch 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("rule " + std::to_string(id)), std::string::npos)
+        << what;
+  }
+  {
+    Controller c(topo);
+    routing::install_shortest_paths(c);
+    c.set_in_acl(0, 3, Acl{}.deny(Match::dst_prefix(dst)));
+    const std::string what = initialize_error(c);
+    EXPECT_NE(what.find("switch 0 port 3"), std::string::npos) << what;
+  }
+  {
+    // A permit-all ACL is the same as no ACL.
+    Controller c(topo);
+    routing::install_shortest_paths(c);
+    c.set_in_acl(0, 3, Acl{});
+    EXPECT_EQ(initialize_error(c), "");
+  }
+}
+
+TEST(Incremental, ApplyRejectsAddsOutsideTheFragment) {
+  Topology topo = linear(3);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  HeaderSpace space;
+  IncrementalUpdater upd(space, topo);
+  upd.initialize(c.logical_configs());
+  const PathTable before = upd.table();
+
+  const Prefix dst{Ipv4::of(10, 0, 2, 0), 25};
+  RuleEvent src_match = add_ev(0, 904, dst, kDropPort);
+  src_match.rule.match.src = Prefix{Ipv4::of(10, 0, 0, 0), 24};
+  EXPECT_THROW(upd.apply(src_match), std::invalid_argument);
+  RuleEvent rewrite = add_ev(0, 905, dst, 2);
+  rewrite.rule.action.rewrite = Rewrite::dst_ip(Ipv4::of(10, 0, 1, 9));
+  EXPECT_THROW(upd.apply(rewrite), std::invalid_argument);
+
+  // A rejected event leaves the rule trees and the table untouched.
+  EXPECT_TRUE(equivalent(upd.table(), before));
+  EXPECT_TRUE(upd.consistent_with_rebuild());
+  EXPECT_EQ(upd.apply(del_ev(0, 904)).nodes_touched, 0u);
 }
 
 TEST(Incremental, AddRuleRedirectsTraffic) {
@@ -183,6 +265,7 @@ TEST_P(IncrementalSweep, RandomUpdatesStayEquivalentToRebuild) {
       upd.apply(ev);
       live.push_back(ev);
     }
+    ASSERT_TRUE(upd.ownership_consistent()) << "round " << round;
     // Equivalence checked every few rounds (rebuilds are costly).
     if (round % 5 == 4) {
       ASSERT_TRUE(upd.consistent_with_rebuild()) << "round " << round;
@@ -196,6 +279,57 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{1, 0}, SweepCase{2, 0}, SweepCase{3, 1},
                       SweepCase{4, 1}, SweepCase{5, 2}, SweepCase{6, 2},
                       SweepCase{7, 1}, SweepCase{8, 2}));
+
+// Endless delete/re-add churn must not grow the forest or drift the
+// table: each cycle returns to exactly the initial state.
+TEST(Incremental, ChurnSoakStateStaysBounded) {
+  Topology topo = internet2_like(6);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Rng rng(17);
+  workload::add_specific_rules(c, rng, 200);
+  HeaderSpace space;
+  IncrementalUpdater upd(space, topo);
+  upd.initialize(c.logical_configs());
+  const PathTable initial = upd.table();
+  const std::size_t initial_nodes = upd.num_flow_nodes();
+
+  // The churned rules: rules whose deletion moves traffic, four that
+  // only reshape path entries and four whose deletion also erases flow
+  // nodes (the re-add must rebuild them). The trial delete/re-add is
+  // itself a cycle and is checked like one.
+  std::vector<RuleEvent> reshape, erase;
+  auto done = [&] { return reshape.size() == 4 && erase.size() == 4; };
+  for (SwitchId s = 0; s < topo.num_switches() && !done(); ++s)
+    for (const FlowRule& r : c.logical(s).table.rules()) {
+      if (done()) break;
+      const std::size_t touched = upd.apply(del_ev(s, r.id)).nodes_touched;
+      auto& kind = upd.num_flow_nodes() == initial_nodes ? reshape : erase;
+      const RuleEvent add{RuleEvent::Kind::kAdd, s, r};
+      upd.apply(add);
+      ASSERT_EQ(upd.num_flow_nodes(), initial_nodes);
+      ASSERT_TRUE(equivalent(upd.table(), initial));
+      if (touched > 0 && kind.size() < 4) kind.push_back(add);
+    }
+  ASSERT_EQ(reshape.size(), 4u);
+  ASSERT_EQ(erase.size(), 4u);
+  std::vector<RuleEvent> churned = reshape;
+  churned.insert(churned.end(), erase.begin(), erase.end());
+
+  std::size_t events = 0;
+  for (int cycle = 0; cycle < 500; ++cycle) {
+    const RuleEvent& add = churned[static_cast<std::size_t>(cycle) % 8];
+    for (const RuleEvent& ev : {del_ev(add.sw, add.rule.id), add}) {
+      upd.apply(ev);
+      if (++events % 50 == 0) {
+        ASSERT_TRUE(upd.consistent_with_rebuild()) << "event " << events;
+      }
+    }
+    ASSERT_EQ(upd.num_flow_nodes(), initial_nodes) << "cycle " << cycle;
+    ASSERT_TRUE(equivalent(upd.table(), initial)) << "cycle " << cycle;
+  }
+  EXPECT_TRUE(upd.ownership_consistent());
+}
 
 }  // namespace
 }  // namespace veridp

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "controller/routing.hpp"
 #include "dataplane/fault.hpp"
 #include "testutil.hpp"
@@ -70,6 +72,22 @@ TEST(Server, RuleEventsKeepIncrementalTableFresh) {
       header(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 2, 7)), PortKey{0, 3});
   EXPECT_EQ(r2.disposition, Disposition::kDelivered);
   EXPECT_TRUE(server.verify(r2.reports[0]).ok());
+}
+
+TEST(Server, IncrementalModeRejectsRulesOutsideTheFragment) {
+  // kIncremental handles dst-prefix forwarding only (§4.4). A src match
+  // folded in by its dst prefix alone would give a wrong table, so the
+  // rule is refused in every build type, live and at sync.
+  Topology topo = linear(3);
+  Controller c(topo);
+  Server server(c, Server::Mode::kIncremental);
+  routing::install_shortest_paths(c);
+  server.sync();
+  Match m = Match::dst_prefix(Prefix{Ipv4::of(10, 0, 2, 0), 25});
+  m.src = Prefix{Ipv4::of(10, 0, 0, 0), 24};
+  EXPECT_THROW(c.add_rule(1, 25, m, Action::drop()), std::invalid_argument);
+  Server fresh(c, Server::Mode::kIncremental);
+  EXPECT_THROW(fresh.sync(), std::invalid_argument);
 }
 
 TEST(Server, FullRebuildModeIsLazyButFresh) {
